@@ -6,14 +6,14 @@ refinement, the composite L1/local/SSIM loss, evaluation metrics, a
 deterministic synthetic dataset, and training/evaluation tooling.
 """
 
-from .autodiff import (ConvSpec, GraphError, ShapeError, Tensor, avg_pool2d,
-                       batch_norm, concat, conv2d, conv_transpose2d,
-                       global_avg_pool, leaky_relu, matmul, no_grad, relu,
-                       reshape, sigmoid, softmax, tanh, transpose, unfold)
+from .autodiff import (GraphError, ShapeError, Tensor, avg_pool2d, batch_norm,
+                       concat, conv2d, conv_transpose2d, global_avg_pool,
+                       leaky_relu, matmul, no_grad, relu, reshape, sigmoid,
+                       softmax, tanh, transpose, unfold)
 from .config import RunConfig, load_config, save_config
 from .losses import loss_global, loss_local, loss_ssim, loss_total, ssim
 from .metrics import cc, psnr, sam, ssim_metric
-from .model import CloudRemovalNet, ModelConfig, build
+from .model import CloudRemovalNet, ModelConfig
 from .nn import (ASPP, SCDF, BatchNorm2d, Conv2d, ConvTranspose2d,
                  DynamicFilterResidualBlock, FilterNorm, GatedConv2d,
                  GatedResidualBlock, Linear, Module, PlainResidualBlock,

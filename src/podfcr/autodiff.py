@@ -12,7 +12,6 @@ test suite as the reference oracle.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,22 +114,7 @@ class Tensor:
         if self._consumed:
             raise GraphError("graph already consumed; rerun the forward pass before calling backward() again")
 
-        topo: list[Tensor] = []
-        visited = {id(self)}
-        stack: list[tuple[Tensor, iter]] = [(self, iter(self._parents))]
-        while stack:
-            node, it = stack[-1]
-            pushed = False
-            for p in it:
-                if id(p) not in visited:
-                    visited.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    pushed = True
-                    break
-            if not pushed:
-                topo.append(node)
-                stack.pop()
-
+        topo = _topo(self)
         self.grad = np.ones_like(self.data)
         self._consumed = True
         for node in reversed(topo):
@@ -143,6 +127,26 @@ class Tensor:
                 node.grad = None
             elif node is not self and node._op != "leaf":
                 node._consumed = True
+
+
+def _topo(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root``, parents before children (iterative DFS)."""
+    topo: list[Tensor] = []
+    visited = {id(root)}
+    stack: list[tuple[Tensor, iter]] = [(root, iter(root._parents))]
+    while stack:
+        node, it = stack[-1]
+        pushed = False
+        for p in it:
+            if id(p) not in visited:
+                visited.add(id(p))
+                stack.append((p, iter(p._parents)))
+                pushed = True
+                break
+        if not pushed:
+            topo.append(node)
+            stack.pop()
+    return topo
 
 
 def as_tensor(x) -> Tensor:
@@ -449,25 +453,6 @@ def softmax(a, axis: int = -1) -> Tensor:
 # convolution machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Shape contract for a convolution: the output extent formula
-    H_out = (H + 2·pad − dilation·(kh−1) − 1) // stride + 1 must hold."""
-
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int] = (3, 3)
-    stride: int = 1
-    padding: int = 0
-    dilation: int = 1
-
-    def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        kh, kw = self.kernel
-        ho = (h + 2 * self.padding - self.dilation * (kh - 1) - 1) // self.stride + 1
-        wo = (w + 2 * self.padding - self.dilation * (kw - 1) - 1) // self.stride + 1
-        return ho, wo
-
-
 def conv_out_size(h: int, k: int, stride: int, pad: int, dilation: int) -> int:
     return (h + 2 * pad - dilation * (k - 1) - 1) // stride + 1
 
@@ -489,6 +474,20 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
     shape = (n, c, kh, kw, ho, wo)
     strides = (s0, s1, s2 * dilation, s3 * dilation, s2 * stride, s3 * stride)
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
+
+
+def _col2im(cols: np.ndarray, h: int, w: int, stride: int, dilation: int,
+            pad: int = 0) -> np.ndarray:
+    """Adjoint of _patch_view over an (N, C, h, w) input padded by ``pad``: add
+    each tap of the (N, C, kh, kw, Ho, Wo) columns onto a zero array, taps in
+    row-major order, then drop the padding."""
+    n, c, kh, kw, ho, wo = cols.shape
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for u in range(kh):
+        for v in range(kw):
+            out[:, :, u * dilation:u * dilation + ho * stride:stride,
+                v * dilation:v * dilation + wo * stride:stride] += cols[:, :, u, v]
+    return out if pad == 0 else np.ascontiguousarray(out[:, :, pad:pad + h, pad:pad + w])
 
 
 def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, pad: int, dilation: int) -> np.ndarray:
@@ -516,7 +515,7 @@ def _conv_dx(dy: np.ndarray, w: np.ndarray, xh: int, xw: int, stride: int,
     For stride 1 the scatter collapses to one correlation with the kernel
     flipped and its channel axes swapped, which is a single GEMM.
     """
-    cin, kh, kw = w.shape[1], w.shape[2], w.shape[3]
+    kh, kw = w.shape[2], w.shape[3]
     flip_pad = dilation * (kh - 1) - pad
     if stride == 1 and kh == kw and flip_pad >= 0:
         w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
@@ -524,18 +523,8 @@ def _conv_dx(dy: np.ndarray, w: np.ndarray, xh: int, xw: int, stride: int,
         if dx.shape[2] != xh or dx.shape[3] != xw:
             raise ShapeError(f"conv backward: expected ({xh},{xw}), got {dx.shape}")
         return dx
-    n = dy.shape[0]
-    ho, wo = dy.shape[2], dy.shape[3]
-    dxp = np.zeros((n, cin, xh + 2 * pad, xw + 2 * pad))
     tmp = np.tensordot(dy, w, axes=([1], [0]))  # (N, Ho, Wo, C, kh, kw)
-    tmp = tmp.transpose(0, 3, 4, 5, 1, 2)       # (N, C, kh, kw, Ho, Wo)
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, :, u * dilation:u * dilation + ho * stride:stride,
-                v * dilation:v * dilation + wo * stride:stride] += tmp[:, :, u, v]
-    if pad == 0:
-        return dxp
-    return np.ascontiguousarray(dxp[:, :, pad:pad + xh, pad:pad + xw])
+    return _col2im(tmp.transpose(0, 3, 4, 5, 1, 2), xh, xw, stride, dilation, pad)
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: int = 1) -> Tensor:
@@ -625,14 +614,7 @@ def unfold(x, kernel: int = 3, padding: int = 1) -> Tensor:
     def bw(g):
         if not x.requires_grad:
             return
-        gp = np.zeros((n, c, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding))
-        g = g.reshape(n, c, k, k, ho, wo)
-        for u in range(k):
-            for v in range(k):
-                gp[:, :, u:u + ho, v:v + wo] += g[:, :, u, v]
-        if padding:
-            gp = gp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]]
-        _accum(x, np.ascontiguousarray(gp))
+        _accum(x, _col2im(g.reshape(n, c, k, k, ho, wo), x.shape[2], x.shape[3], 1, 1, padding))
 
     return _node(out, (x,), bw, "unfold")
 
@@ -657,12 +639,9 @@ def avg_pool2d(x, kernel: int, stride: int | None = None) -> Tensor:
     def bw(g):
         if not x.requires_grad:
             return
-        gx = np.zeros_like(x.data)
-        gshare = g / (k * k)
-        for u in range(k):
-            for v in range(k):
-                gx[:, :, u:u + ho * s:s, v:v + wo * s:s] += gshare
-        _accum(x, gx)
+        n, c = g.shape[:2]
+        share = np.broadcast_to((g / (k * k))[:, :, None, None], (n, c, k, k, ho, wo))
+        _accum(x, _col2im(share, x.shape[2], x.shape[3], s, 1))
 
     return _node(out, (x,), bw, "avg_pool2d")
 
@@ -718,29 +697,9 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     return add(mul(g4, xhat), b4)
 
 
-def assert_finite(t: Tensor, name: str = "tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"non-finite values in {name} (op={t._op})")
-
-
 def first_nonfinite_op(root: Tensor) -> str | None:
     """Name of the earliest op (forward order) whose output is non-finite."""
-    topo: list[Tensor] = []
-    visited = {id(root)}
-    stack = [(root, iter(root._parents))]
-    while stack:
-        node, it = stack[-1]
-        pushed = False
-        for p in it:
-            if id(p) not in visited:
-                visited.add(id(p))
-                stack.append((p, iter(p._parents)))
-                pushed = True
-                break
-        if not pushed:
-            topo.append(node)
-            stack.pop()
-    for node in topo:
+    for node in _topo(root):
         if not np.all(np.isfinite(node.data)):
             return "leaf (parameter or input)" if node._op == "leaf" else node._op
     return None

@@ -18,6 +18,7 @@ from . import autodiff as ad
 from . import evaluation, experiments, gradcheck, synthetic, tensorfile
 from .config import ConfigError, load_config
 from .model import CloudRemovalNet
+from .nn import StateDictError
 from .training import (TrainingDiverged, load_checkpoint, model_config_from_meta,
                        read_meta, train)
 
@@ -60,20 +61,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore(checkpoint: str) -> tuple[CloudRemovalNet, dict[str, str]]:
-    meta = read_meta(checkpoint)
-    net = CloudRemovalNet(model_config_from_meta(meta), seed=int(meta["seed"]))
-    load_checkpoint(checkpoint, net)
-    return net, meta
+def _restore(checkpoint: str) -> CloudRemovalNet:
+    try:
+        meta = read_meta(checkpoint)
+        net = CloudRemovalNet(model_config_from_meta(meta), seed=meta["seed"])
+        load_checkpoint(checkpoint, net)
+    except FileNotFoundError as exc:
+        raise CliError("missing-checkpoint", str(exc)) from exc
+    return net
 
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    checkpoint = args.checkpoint or config.checkpoint_dir
-    try:
-        net, _ = _restore(checkpoint)
-    except FileNotFoundError as exc:
-        raise CliError("missing-checkpoint", str(exc)) from exc
+    net = _restore(args.checkpoint or config.checkpoint_dir)
     try:
         report = evaluation.evaluate(config, net, report_path=args.out)
     except FileNotFoundError as exc:
@@ -99,12 +99,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    try:
-        net, meta = _restore(args.checkpoint)
-    except FileNotFoundError as exc:
-        raise CliError("missing-checkpoint", str(exc)) from exc
+    net = _restore(args.checkpoint)
     paths = args.inputs
-    needs_sar = meta["sar_input"] != "none"
+    needs_sar = not net.config.no_polsar
     if needs_sar and len(paths) != 2:
         raise CliError("usage", "this checkpoint needs two inputs: cloudy and radar tensors")
     if not needs_sar and len(paths) not in (1, 2):
@@ -196,6 +193,9 @@ def main(argv=None) -> int:
         return 2 if exc.category == "usage" else 1
     except ConfigError as exc:
         print(f"error:config: {exc}", file=sys.stderr)
+        return 1
+    except StateDictError as exc:
+        print(f"error:checkpoint: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error:runtime: {exc}", file=sys.stderr)

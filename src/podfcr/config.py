@@ -65,27 +65,21 @@ class RunConfig:
         return _SAR_CHANNELS[self.sar_input]
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            base_channels=self.base_channels,
-            sar_in_channels=max(self.sar_channels, 1),
-            patch=self.patch,
-            no_scdf=self.no_scdf,
-            no_gc=self.no_gc,
-            no_mmcf=self.no_mmcf,
-            no_mmrf=self.no_mmrf,
-            no_aspp=self.no_aspp,
-            no_polsar=self.no_polsar,
-            scru_literal=self.scru_literal,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in _FIELDS}
+        return ModelConfig(sar_in_channels=max(self.sar_channels, 1), **shared)
 
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+def field_types(cls) -> dict[str, str]:
+    """Field name -> type name of a dataclass, the schema ``read_key_values`` takes."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+_FIELDS = field_types(RunConfig)
 _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
 
 
-def _parse_value(key: str, raw: str):
-    kind = _FIELDS[key]
+def _parse_value(key: str, kind: str, raw: str):
     if kind == "bool":
         low = raw.lower()
         if low in _BOOL_TRUE:
@@ -100,7 +94,9 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def load_config(path) -> RunConfig:
+def read_key_values(path, types: dict[str, str]) -> dict:
+    """Parse ``key = value`` lines into typed values; keys outside ``types``
+    and repeated keys are errors."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -109,14 +105,21 @@ def load_config(path) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELDS:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
-    return RunConfig(**values)
+        values[key] = _parse_value(key, types[key], raw)
+    return values
+
+
+def write_key_values(path, values: dict) -> None:
+    Path(path).write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+
+
+def load_config(path) -> RunConfig:
+    return RunConfig(**read_key_values(path, _FIELDS))
 
 
 def save_config(config: RunConfig, path) -> None:
-    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(RunConfig)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_key_values(path, {name: getattr(config, name) for name in _FIELDS})

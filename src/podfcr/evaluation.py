@@ -21,6 +21,7 @@ from .synthetic import CLASS_LABELS, COVERAGE_BINS, SamplePair
 from .training import load_dataset, make_batch
 
 REPORT_HEADER = "# scope\tcoverage_bin\tclass\tcount\tpsnr\tssim\tcc\tsam"
+METRICS = ("psnr", "ssim", "cc", "sam")
 
 
 def predict(net: CloudRemovalNet, samples: list[SamplePair], sar_input: str,
@@ -47,13 +48,13 @@ def evaluate_samples(net: CloudRemovalNet, samples: list[SamplePair],
     return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+def metric_columns(agg: dict) -> str:
+    """The count and the four metrics of an aggregate as tab-separated columns."""
+    return "\t".join([str(agg["count"])] + [f"{agg[k]:.6f}" for k in METRICS])
 
 
 def _row(scope: str, bin_label: str, class_label: str, agg: dict) -> str:
-    stats = "\t".join(_fmt(agg[k]) for k in ("psnr", "ssim", "cc", "sam"))
-    return f"{scope}\t{bin_label}\t{class_label}\t{agg['count']}\t{stats}"
+    return f"{scope}\t{bin_label}\t{class_label}\t{metric_columns(agg)}"
 
 
 def render_report(rows: list[dict]) -> str:
@@ -79,11 +80,9 @@ def parse_report(text: str) -> dict[tuple[str, str, str], dict]:
     for line in text.splitlines():
         if not line.strip() or line.startswith("#"):
             continue
-        scope, bin_label, class_label, count, psnr, ssim, cc, sam = line.split("\t")
+        scope, bin_label, class_label, count, *values = line.split("\t")
         table[(scope, bin_label, class_label)] = {
-            "count": int(count), "psnr": float(psnr), "ssim": float(ssim),
-            "cc": float(cc), "sam": float(sam),
-        }
+            "count": int(count), **{k: float(v) for k, v in zip(METRICS, values, strict=True)}}
     return table
 
 

@@ -58,18 +58,5 @@ def run_ablation(config: RunConfig, log=print) -> dict[str, dict]:
 
 def render_ablation_report(results: dict[str, dict]) -> str:
     lines = [ABLATION_HEADER]
-    for name, agg in results.items():
-        stats = "\t".join(f"{agg[k]:.6f}" for k in ("psnr", "ssim", "cc", "sam"))
-        lines.append(f"{name}\t{agg['count']}\t{stats}")
+    lines += [f"{name}\t{evaluation.metric_columns(agg)}" for name, agg in results.items()]
     return "\n".join(lines) + "\n"
-
-
-def parse_ablation_report(text: str) -> dict[str, dict]:
-    results = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        name, count, psnr, ssim, cc, sam = line.split("\t")
-        results[name] = {"count": int(count), "psnr": float(psnr),
-                         "ssim": float(ssim), "cc": float(cc), "sam": float(sam)}
-    return results

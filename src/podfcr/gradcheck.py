@@ -151,30 +151,6 @@ def check_gated_conv() -> float:
     return gradcheck(lambda: nn.gated_conv(x, wf, wg, bf, bg), [x, wf, wg, bf, bg])
 
 
-def check_rb_gc() -> float:
-    rng = np.random.default_rng(18)
-    block = nn.GatedResidualBlock(rng, 4)
-    params = _randomize(block, rng)
-    x = _rand(rng, 1, 4, 6, 6)
-    return gradcheck(lambda: block(x), [x] + params)
-
-
-def check_rb_df() -> float:
-    rng = np.random.default_rng(19)
-    block = nn.DynamicFilterResidualBlock(rng, 4)
-    params = _randomize(block, rng)
-    x = _rand(rng, 1, 4, 5, 5)
-    return gradcheck(lambda: block(x), [x] + params)
-
-
-def check_scdf() -> float:
-    rng = np.random.default_rng(20)
-    block = nn.SCDF(rng, 4)
-    params = _randomize(block, rng)
-    x = _rand(rng, 1, 4, 5, 5)
-    return gradcheck(lambda: block(x), [x] + params)
-
-
 def check_filter_normalize() -> float:
     rng = np.random.default_rng(21)
     raw = _rand(rng, 2, 5, 3, 3)
@@ -183,49 +159,16 @@ def check_filter_normalize() -> float:
     return gradcheck(lambda: nn.filter_normalize(raw, alpha, beta), [raw, alpha, beta])
 
 
-def check_aspp() -> float:
-    rng = np.random.default_rng(22)
-    block = nn.ASPP(rng, 4, rates=(2, 4, 6))
-    params = _randomize(block, rng)
-    x = _rand(rng, 1, 4, 6, 6)
-    return gradcheck(lambda: block(x), [x] + params)
-
-
-def check_mmcf() -> float:
-    rng = np.random.default_rng(23)
-    block = fusion.MMCF(rng, 3)
-    params = _randomize(block, rng)
-    f_opt = _rand(rng, 1, 3, 5, 5)
-    f_sar = _rand(rng, 1, 3, 5, 5)
-    return gradcheck(lambda: block(f_opt, f_sar)[2], [f_opt, f_sar] + params)
-
-
-def check_scru() -> float:
-    rng = np.random.default_rng(24)
-    block = fusion.SCRU(rng, 4)
-    params = _randomize(block, rng)
-    x = _rand(rng, 1, 4, 3, 3)
-    return gradcheck(lambda: block(x), [x] + params)
-
-
-def check_mwru() -> float:
-    rng = np.random.default_rng(25)
-    block = fusion.MWRU(rng, 4)
-    params = _randomize(block, rng)
-    a = _rand(rng, 1, 4, 3, 3)
-    b = _rand(rng, 1, 4, 3, 3)
-    c = _rand(rng, 1, 4, 3, 3)
-    return gradcheck(lambda: block(a, b, c), [a, b, c] + params)
-
-
-def check_mmrf() -> float:
-    rng = np.random.default_rng(26)
-    block = fusion.MMRF(rng, 4)
-    params = _randomize(block, rng)
-    a = _rand(rng, 1, 4, 3, 3)
-    b = _rand(rng, 1, 4, 3, 3)
-    c = _rand(rng, 1, 4, 3, 3)
-    return gradcheck(lambda: block(a, b, c), [a, b, c] + params)
+def _module_check(seed: int, build, shapes, pick=lambda out: out):
+    """Check for a block: build it from ``seed``, randomize its parameters,
+    draw one input per shape, and compare gradients of ``pick(block(*inputs))``."""
+    def check() -> float:
+        rng = np.random.default_rng(seed)
+        block = build(rng)
+        params = _randomize(block, rng)
+        inputs = [_rand(rng, *shape) for shape in shapes]
+        return gradcheck(lambda: pick(block(*inputs)), inputs + params)
+    return check
 
 
 def check_loss_total() -> float:
@@ -245,15 +188,16 @@ OP_CHECKS = {
     "elementwise": check_elementwise,
     "batch_norm": check_batch_norm,
     "gated_conv": check_gated_conv,
-    "rb_gc": check_rb_gc,
-    "rb_df": check_rb_df,
-    "scdf": check_scdf,
+    "rb_gc": _module_check(18, lambda rng: nn.GatedResidualBlock(rng, 4), [(1, 4, 6, 6)]),
+    "rb_df": _module_check(19, lambda rng: nn.DynamicFilterResidualBlock(rng, 4), [(1, 4, 5, 5)]),
+    "scdf": _module_check(20, lambda rng: nn.SCDF(rng, 4), [(1, 4, 5, 5)]),
     "filter_normalize": check_filter_normalize,
-    "aspp": check_aspp,
-    "mmcf": check_mmcf,
-    "scru": check_scru,
-    "mwru": check_mwru,
-    "mmrf": check_mmrf,
+    "aspp": _module_check(22, lambda rng: nn.ASPP(rng, 4, rates=(2, 4, 6)), [(1, 4, 6, 6)]),
+    "mmcf": _module_check(23, lambda rng: fusion.MMCF(rng, 3), [(1, 3, 5, 5)] * 2,
+                          pick=lambda out: out[2]),
+    "scru": _module_check(24, lambda rng: fusion.SCRU(rng, 4), [(1, 4, 3, 3)]),
+    "mwru": _module_check(25, lambda rng: fusion.MWRU(rng, 4), [(1, 4, 3, 3)] * 3),
+    "mmrf": _module_check(26, lambda rng: fusion.MMRF(rng, 4), [(1, 4, 3, 3)] * 3),
     "loss_total": check_loss_total,
 }
 

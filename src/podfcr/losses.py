@@ -90,23 +90,19 @@ def loss_ssim(pred: Tensor, target: Tensor) -> Tensor:
     return ad.sub(1.0, ssim(target, pred))
 
 
-def loss_total(pred: Tensor, target: Tensor, mask: Tensor,
-               lambda_local: float = 10.0, lambda_ssim: float = 1.0) -> Tensor:
-    """L_g + lambda1 * L_l + lambda2 * L_ssim, differentiable end to end."""
-    total = loss_global(pred, target)
-    if lambda_local != 0.0:
-        total = ad.add(total, ad.scale(loss_local(pred, target, mask), lambda_local))
-    if lambda_ssim != 0.0:
-        total = ad.add(total, ad.scale(loss_ssim(pred, target), lambda_ssim))
-    return total
-
-
 def loss_components(pred: Tensor, target: Tensor, mask: Tensor,
                     lambda_local: float = 10.0, lambda_ssim: float = 1.0
                     ) -> tuple[Tensor, float, float, float]:
-    """Total loss tensor plus the three scalar components for logging."""
+    """L_g + (lambda1 * L_l + lambda2 * L_ssim) as a tensor, plus the three
+    terms as scalars for logging."""
     lg = loss_global(pred, target)
     ll = loss_local(pred, target, mask)
     ls = loss_ssim(pred, target)
     total = ad.add(lg, ad.add(ad.scale(ll, lambda_local), ad.scale(ls, lambda_ssim)))
     return total, lg.item(), ll.item(), ls.item()
+
+
+def loss_total(pred: Tensor, target: Tensor, mask: Tensor,
+               lambda_local: float = 10.0, lambda_ssim: float = 1.0) -> Tensor:
+    """The composite loss tensor alone, differentiable end to end."""
+    return loss_components(pred, target, mask, lambda_local, lambda_ssim)[0]

@@ -178,7 +178,3 @@ class CloudRemovalNet(nn.Module):
         return ad.add(self.out_conv(x), cloudy)
 
     __call__ = forward
-
-
-def build(config: ModelConfig, seed: int = 0) -> CloudRemovalNet:
-    return CloudRemovalNet(config, seed)

@@ -37,6 +37,10 @@ def zeros_param(*shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
+class StateDictError(ValueError):
+    """A state dict has missing, unexpected or misshapen entries for a module."""
+
+
 class Module:
     """Minimal parameter container with stable, dotted state names."""
 
@@ -76,16 +80,18 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        own = dict(self.named_parameters())
-        for name, p in own.items():
-            if name not in state:
-                raise KeyError(f"state is missing parameter '{name}'")
-            if state[name].shape != p.data.shape:
-                raise ShapeError(f"parameter '{name}': stored shape {state[name].shape} != {p.data.shape}")
+        own = self.state_dict()
+        missing = sorted(own.keys() - state.keys())
+        extra = sorted(state.keys() - own.keys())
+        if missing or extra:
+            raise StateDictError(f"state does not match the module: {len(missing)} missing "
+                                 f"{missing[:3]}, {len(extra)} unexpected {extra[:3]}")
+        for name, arr in own.items():
+            if state[name].shape != arr.shape:
+                raise StateDictError(f"'{name}': stored shape {state[name].shape} != {arr.shape}")
+        for name, p in self.named_parameters():
             p.data = np.array(state[name], dtype=np.float64)
         for name, buf in self.named_buffers():
-            if name not in state:
-                raise KeyError(f"state is missing buffer '{name}'")
             buf[...] = state[name]
 
     def parameter_count(self) -> int:
@@ -162,7 +168,8 @@ class GatedConv2d(Module):
         if not self.gated:
             y = self.feat(x)
             return act(y) if self.plain_act else y
-        return ad.mul(act(self.feat(x)), ad.sigmoid(self.gate(x)))
+        return gated_conv(x, self.feat.weight, self.gate.weight, self.feat.bias,
+                          self.gate.bias, padding=self.feat.padding)
 
 
 def gated_conv(x: Tensor, feat_weight: Tensor, gate_weight: Tensor,
@@ -193,12 +200,7 @@ class FilterNorm(Module):
             self.beta = zeros_param(channels, 1, 1)
 
     def __call__(self, raw: Tensor) -> Tensor:
-        m = ad.tmean(raw, axis=(-2, -1), keepdims=True)
-        centered = ad.sub(raw, m)
-        var = ad.tmean(ad.mul(centered, centered), axis=(-2, -1), keepdims=True)
-        std = ad.sqrt(var)
-        normed = ad.div(centered, ad.add(std, self.eps))
-        return ad.add(ad.mul(self.alpha, normed), self.beta)
+        return filter_normalize(raw, self.alpha, self.beta, self.eps)
 
 
 def filter_normalize(raw: Tensor, alpha: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

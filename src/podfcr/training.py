@@ -2,25 +2,30 @@
 
 A checkpoint is a directory of tensor containers (one per named parameter,
 batch-norm buffer, and Adam moment) plus a manifest mapping name -> shape
-and a meta file with the epoch/step counters and the model geometry. The
-per-epoch sample order is derived statelessly from (seed, epoch), so a
-resumed run replays exactly the order an uninterrupted run would have used.
+and a meta file with the epoch/step counters, the seed and every
+``ModelConfig`` field. The per-epoch sample order is derived statelessly
+from (seed, epoch) and the step count fixes the epoch and batch to resume
+at, so a resumed run replays exactly the order an uninterrupted run would
+have used, also after a stop partway through an epoch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses, metrics
-from .config import RunConfig
-from .model import CloudRemovalNet
+from .config import RunConfig, field_types, read_key_values, write_key_values
+from .model import CloudRemovalNet, ModelConfig
 from .optim import Adam
 from .synthetic import SamplePair, load_sample, read_manifest, seed_for
 from .tensorfile import read_tensor, write_tensor
+
+
+META_TYPES = {"epoch": "int", "step": "int", "seed": "int"} | field_types(ModelConfig)
 
 
 class TrainingDiverged(RuntimeError):
@@ -82,112 +87,102 @@ def save_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam,
         shape = "x".join(str(s) for s in arr.shape) if arr.ndim else "scalar"
         manifest_lines.append(f"{name}\t{shape}")
     (ckpt_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
-    meta = {
-        "epoch": epoch,
-        "step": optimizer.step_count,
-        "seed": config.seed,
-        "patch": config.patch,
-        "base_channels": config.base_channels,
-        "sar_input": config.sar_input,
-        "no_scdf": config.no_scdf,
-        "no_gc": config.no_gc,
-        "no_mmcf": config.no_mmcf,
-        "no_mmrf": config.no_mmrf,
-        "no_aspp": config.no_aspp,
-        "no_polsar": config.no_polsar,
-        "scru_literal": config.scru_literal,
-    }
-    (ckpt_dir / "meta.txt").write_text(
-        "\n".join(f"{k} = {v}" for k, v in meta.items()) + "\n")
+    counters = {"epoch": epoch, "step": optimizer.step_count, "seed": config.seed}
+    write_key_values(ckpt_dir / "meta.txt", counters | asdict(net.config))
 
 
-def read_meta(ckpt_dir) -> dict[str, str]:
-    meta = {}
-    for line in (Path(ckpt_dir) / "meta.txt").read_text().splitlines():
-        key, _, value = line.partition(" = ")
-        meta[key.strip()] = value.strip()
-    return meta
+def read_meta(ckpt_dir) -> dict:
+    return read_key_values(Path(ckpt_dir) / "meta.txt", META_TYPES)
+
+
+def model_config_from_meta(meta: dict) -> ModelConfig:
+    return ModelConfig(**{name: meta[name] for name in field_types(ModelConfig)})
 
 
 def load_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam | None = None) -> int:
-    """Restore parameters (and optimizer state when given); returns the epoch."""
+    """Restore parameters and buffers, and the optimizer state when given
+    (the Adam moments are read only then); returns the epoch."""
     ckpt_dir = Path(ckpt_dir)
-    tensors_dir = ckpt_dir / "tensors"
+    kinds = ("param.", "buffer.") if optimizer is None else ("param.", "buffer.", "adam.")
     names = [line.split("\t")[0] for line in
-             (ckpt_dir / "manifest.txt").read_text().splitlines() if line.strip()]
-    stored = {name: read_tensor(tensors_dir / f"{name}.ptf") for name in names}
-    net.load_state_dict({name[len("param."):]: arr for name, arr in stored.items()
-                         if name.startswith("param.")} |
-                        {name[len("buffer."):]: arr for name, arr in stored.items()
-                         if name.startswith("buffer.")})
+             (ckpt_dir / "manifest.txt").read_text().splitlines() if line.startswith(kinds)]
+    stored = {name: read_tensor(ckpt_dir / "tensors" / f"{name}.ptf") for name in names}
+    net.load_state_dict({name.split(".", 1)[1]: arr for name, arr in stored.items()
+                         if not name.startswith("adam.")})
     meta = read_meta(ckpt_dir)
     if optimizer is not None:
-        state = {"step": int(meta["step"])}
-        state.update({name[len("adam."):]: arr for name, arr in stored.items()
-                      if name.startswith("adam.")})
-        optimizer.load_state_dict(state)
-    return int(meta["epoch"])
-
-
-def model_config_from_meta(meta: dict[str, str]):
-    from .model import ModelConfig
-    flags = {k: meta[k] == "True" for k in
-             ("no_scdf", "no_gc", "no_mmcf", "no_mmrf", "no_aspp", "no_polsar", "scru_literal")}
-    sar_channels = {"pfsar": 9, "bcfsar": 3, "both": 12, "none": 1}[meta["sar_input"]]
-    return ModelConfig(base_channels=int(meta["base_channels"]),
-                       sar_in_channels=sar_channels,
-                       patch=int(meta["patch"]), **flags)
+        optimizer.load_state_dict({"step": meta["step"]} |
+                                  {name[len("adam."):]: arr for name, arr in stored.items()
+                                   if name.startswith("adam.")})
+    return meta["epoch"]
 
 
 # -- the loop ---------------------------------------------------------------
+
+def build_net_and_optimizer(config: RunConfig) -> tuple[CloudRemovalNet, Adam]:
+    net = CloudRemovalNet(config.model_config(), seed=config.seed)
+    optimizer = Adam(list(net.named_parameters()), lr=config.learning_rate,
+                     beta1=config.adam_beta1, beta2=config.adam_beta2,
+                     grad_clip=config.grad_clip)
+    return net, optimizer
+
+
+def train_step(net: CloudRemovalNet, optimizer: Adam, batch, config: RunConfig
+               ) -> tuple[ad.Tensor, tuple[float, float, float, float]]:
+    """One optimizer step on a ``make_batch`` tuple; returns the prediction
+    and the loss total with its three terms."""
+    cloudy, clean, mask, sar = batch
+    pred = net.forward(cloudy, sar, training=True)
+    total, lg, ll, ls = losses.loss_components(
+        pred, clean, mask, config.lambda_local, config.lambda_ssim)
+    value = total.item()
+    if not np.isfinite(value):
+        culprit = ad.first_nonfinite_op(total) or "loss"
+        raise TrainingDiverged(f"non-finite loss at step {optimizer.step_count + 1}; "
+                               f"first non-finite tensor from op '{culprit}'")
+    optimizer.zero_grad()
+    total.backward()
+    optimizer.step()
+    return pred, (value, lg, ll, ls)
+
 
 def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet:
     dataset = load_dataset(config.data_dir)
     if not dataset.train:
         raise FileNotFoundError(f"no training samples under {config.data_dir}")
-    net = CloudRemovalNet(config.model_config(), seed=config.seed)
-    optimizer = Adam(list(net.named_parameters()), lr=config.learning_rate,
-                     beta1=config.adam_beta1, beta2=config.adam_beta2,
-                     grad_clip=config.grad_clip)
-    start_epoch = 0
+    net, optimizer = build_net_and_optimizer(config)
     ckpt_dir = Path(config.checkpoint_dir)
     if resume:
-        start_epoch = load_checkpoint(ckpt_dir, net, optimizer)
-        log(f"resumed from {ckpt_dir} at epoch {start_epoch}")
-
+        load_checkpoint(ckpt_dir, net, optimizer)
     n = len(dataset.train)
-    step = optimizer.step_count
+    per_epoch = -(-n // config.batch_size)
+    start_epoch, done_batches = divmod(optimizer.step_count, per_epoch)
+    if resume:
+        log(f"resumed from {ckpt_dir} at epoch {start_epoch} step {optimizer.step_count}")
+
     done = False
     for epoch in range(start_epoch, config.epochs):
         order = seed_for(config.seed, "shuffle", epoch).permutation(n)
+        first = done_batches * config.batch_size if epoch == start_epoch else 0
         sums = np.zeros(5)
         batches = 0
-        for lo in range(0, n, config.batch_size):
-            batch = [dataset.train[i] for i in order[lo:lo + config.batch_size]]
-            cloudy, clean, mask, sar = make_batch(batch, config.sar_input)
-            pred = net.forward(cloudy, sar, training=True)
-            total, lg, ll, ls = losses.loss_components(
-                pred, clean, mask, config.lambda_local, config.lambda_ssim)
-            if not np.isfinite(total.item()):
-                culprit = ad.first_nonfinite_op(total) or "loss"
-                raise TrainingDiverged(
-                    f"non-finite loss at step {step + 1}; first non-finite tensor from op '{culprit}'")
-            optimizer.zero_grad()
-            total.backward()
-            optimizer.step()
-            batch_psnr = min(metrics.psnr(np.clip(pred.data, 0.0, 1.0), clean.data),
+        for lo in range(first, n, config.batch_size):
+            batch = make_batch([dataset.train[i] for i in order[lo:lo + config.batch_size]],
+                               config.sar_input)
+            pred, terms = train_step(net, optimizer, batch, config)
+            batch_psnr = min(metrics.psnr(np.clip(pred.data, 0.0, 1.0), batch[1].data),
                              metrics.PSNR_CAP_DB)
-            sums += (total.item(), lg, ll, ls, batch_psnr)
+            sums += (*terms, batch_psnr)
             batches += 1
-            step += 1
-            if config.max_steps and step >= config.max_steps:
+            if config.max_steps and optimizer.step_count >= config.max_steps:
                 done = True
                 break
+        step = optimizer.step_count
         mean = sums / max(batches, 1)
         log(f"epoch={epoch + 1} step={step} loss_total={mean[0]:.6f} "
             f"loss_global={mean[1]:.6f} loss_local={mean[2]:.6f} loss_ssim={mean[3]:.6f} "
             f"train_psnr={mean[4]:.4f}")
-        save_checkpoint(ckpt_dir, net, optimizer, epoch + 1, config)
+        save_checkpoint(ckpt_dir, net, optimizer, step // per_epoch, config)
         if done:
             break
     return net
@@ -199,23 +194,16 @@ def overfit_single_sample(config: RunConfig, sample: SamplePair, steps: int = 20
 
     Returns (initial_loss, final_loss); used by the overfit verification.
     """
-    net = CloudRemovalNet(config.model_config(), seed=config.seed)
-    optimizer = Adam(list(net.named_parameters()), lr=config.learning_rate,
-                     beta1=config.adam_beta1, beta2=config.adam_beta2,
-                     grad_clip=config.grad_clip)
-    cloudy, clean, mask, sar = make_batch([sample], config.sar_input)
+    net, optimizer = build_net_and_optimizer(config)
+    batch = make_batch([sample], config.sar_input)
     initial = None
     for i in range(steps):
-        pred = net.forward(cloudy, sar, training=True)
-        total = losses.loss_total(pred, clean, mask, config.lambda_local, config.lambda_ssim)
-        value = total.item()
+        value = train_step(net, optimizer, batch, config)[1][0]
         if initial is None:
             initial = value
-        optimizer.zero_grad()
-        total.backward()
-        optimizer.step()
         if log is not None and (i + 1) % 50 == 0:
             log(f"step={i + 1} loss={value:.6f}")
+    cloudy, clean, mask, sar = batch
     with ad.no_grad():
         pred = net.forward(cloudy, sar, training=True)
         final = losses.loss_total(pred, clean, mask,

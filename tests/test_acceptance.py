@@ -175,6 +175,7 @@ class TestCriterion4AnalyticValues:
 
 
 class TestCriterion5Overfit:
+    @pytest.mark.slow
     def test_overfit_single_sample(self):
         cfg = RunConfig(seed=0, patch=32, base_channels=8, epochs=1)
         sample = make_sample(0, 19, 32)  # 80-100% coverage bin
@@ -193,6 +194,7 @@ class TestCriterion5Overfit:
             "this architecture converts to ~87%; the same run passes 90% near "
             "step 347")
 
+    @pytest.mark.slow
     def test_overfit_diagnostic_extended_budget(self):
         # supporting evidence: the optimization target is reachable, the
         # fixed-budget criterion is what falls short
@@ -206,12 +208,14 @@ class TestCriterion5Overfit:
 
 
 class TestCriterion6DirectionalAblations:
+    @pytest.mark.slow
     def test_runtime_budget(self, ablation_results):
         elapsed = ablation_results["elapsed"]
         report("criterion 6a: ablation protocol runtime <= 30 min", elapsed <= 1800,
                f"{elapsed / 60:.1f} min")
         assert elapsed <= 1800
 
+    @pytest.mark.slow
     def test_full_model_leads_module_ablations(self, ablation_results):
         res = ablation_results["results"]
         full = res["full"]["psnr"]
@@ -224,6 +228,7 @@ class TestCriterion6DirectionalAblations:
                detail)
         assert not failures, f"full={full:.3f} trails: {failures}"
 
+    @pytest.mark.slow
     def test_radar_ablation_gap(self, ablation_results):
         res = ablation_results["results"]
         gap = res["full"]["psnr"] - res["input_none"]["psnr"]
@@ -231,6 +236,7 @@ class TestCriterion6DirectionalAblations:
                f"gap {gap:.2f} dB")
         assert gap >= 0.3
 
+    @pytest.mark.slow
     def test_trained_model_beats_identity_on_masked_region(self, ablation_results):
         cfg = ablation_results["cfg"]
         dataset = load_dataset(cfg.data_dir)
@@ -319,6 +325,7 @@ class TestCriterion7DeterminismAndIO:
 
 
 class TestCriterion8CoverageBins:
+    @pytest.mark.slow
     def test_per_bin_metrics_and_trend(self, ablation_results):
         cfg = ablation_results["cfg"]
         net = CloudRemovalNet(cfg.model_config(), seed=cfg.seed)

@@ -237,3 +237,12 @@ class TestModuleSystem:
         for (_, a), (_, b) in zip(block.named_parameters(), other.named_parameters()):
             assert np.array_equal(a.data, b.data)
         assert np.array_equal(block.bn.running_mean, other.bn.running_mean)
+
+    def test_load_state_dict_rejects_missing_and_extra_keys(self, rng):
+        block = nn.Downsample(rng, 4)
+        state = {k: v.copy() for k, v in block.state_dict().items()}
+        with pytest.raises(nn.StateDictError, match="1 unexpected"):
+            block.load_state_dict(state | {"extra.weight": np.zeros(1)})
+        del state["bn.running_var"]
+        with pytest.raises(nn.StateDictError, match="1 missing"):
+            block.load_state_dict(state)

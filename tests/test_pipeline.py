@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from podfcr import autodiff as ad
-from podfcr import evaluation, losses
+from podfcr import evaluation, losses, training
 from podfcr.cli import main as cli_main
 from podfcr.config import ConfigError, RunConfig, load_config, save_config
+from podfcr.experiments import INPUT_VARIANTS, MODULE_VARIANTS
 from podfcr.model import CloudRemovalNet
 from podfcr.optim import Adam
 from podfcr.synthetic import CLASS_LABELS, COVERAGE_BINS, build_dataset
 from podfcr.tensorfile import read_tensor
-from podfcr.training import (TrainingDiverged, load_checkpoint, load_dataset,
-                             make_batch, train)
+from podfcr.training import (TrainingDiverged, build_net_and_optimizer, load_checkpoint,
+                             load_dataset, make_batch, model_config_from_meta, read_meta,
+                             save_checkpoint, train)
 
 
 def tiny_config(tmp_path, **overrides) -> RunConfig:
@@ -111,6 +113,44 @@ class TestTraining:
             assert np.array_equal(a.data, b.data), na
         for (_, a), (_, b) in zip(net_full.named_buffers(), net_resumed.named_buffers()):
             assert np.array_equal(a, b)
+
+    def test_resume_after_mid_epoch_stop_equals_uninterrupted(self, tiny_data, tmp_path):
+        net_full = train(tiny_config(tiny_data, checkpoint_dir=str(tmp_path / "full_ckpt")))
+        per_epoch = -(-len(load_dataset(tiny_data / "data").train) // 2)
+        assert per_epoch >= 2
+        stop = per_epoch + 1  # partway through the second epoch
+        cut_dir = str(tmp_path / "cut_ckpt")
+        train(tiny_config(tiny_data, checkpoint_dir=cut_dir, max_steps=stop))
+        assert read_meta(cut_dir)["step"] == stop
+        net_resumed = train(tiny_config(tiny_data, checkpoint_dir=cut_dir), resume=True)
+
+        assert read_meta(cut_dir)["step"] == read_meta(tmp_path / "full_ckpt")["step"]
+        for (name, a), (_, b) in zip(net_full.named_parameters(), net_resumed.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+        for (name, a), (_, b) in zip(net_full.named_buffers(), net_resumed.named_buffers()):
+            assert np.array_equal(a, b), name
+
+    def test_load_without_optimizer_reads_only_net_state(self, tiny_data, monkeypatch):
+        cfg = tiny_config(tiny_data, epochs=1)
+        train(cfg)
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_tensor(path)
+
+        monkeypatch.setattr(training, "read_tensor", counting_read)
+        net = CloudRemovalNet(cfg.model_config(), seed=1)
+        load_checkpoint(cfg.checkpoint_dir, net)
+        assert len(reads) == len(list(net.named_parameters())) + len(list(net.named_buffers()))
+
+    @pytest.mark.parametrize("name,overrides", MODULE_VARIANTS + INPUT_VARIANTS,
+                             ids=[name for name, _ in MODULE_VARIANTS + INPUT_VARIANTS])
+    def test_meta_rebuilds_model_config(self, tmp_path, name, overrides):
+        cfg = tiny_config(tmp_path, **(overrides or {}))
+        net, optimizer = build_net_and_optimizer(cfg)
+        save_checkpoint(tmp_path / "ckpt", net, optimizer, 0, cfg)
+        assert model_config_from_meta(read_meta(tmp_path / "ckpt")) == cfg.model_config()
 
     def test_nan_loss_aborts_with_diagnostic(self, tiny_data):
         cfg = tiny_config(tiny_data, epochs=1)
@@ -275,6 +315,18 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert read_tensor(out).shape == (4, 16, 16)
         capsys.readouterr()
+
+    def test_resume_into_other_ablation_is_checkpoint_error(self, tiny_data, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        save_config(tiny_config(tiny_data, epochs=1, no_scdf=False), cfg_path)
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        save_config(tiny_config(tiny_data, epochs=2, no_scdf=True), cfg_path)
+        capsys.readouterr()
+        code = cli_main(["train", "--config", str(cfg_path), "--resume"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:checkpoint:")
+        assert "unexpected" in captured.err
 
     def test_infer_bad_tensorfile_category(self, tmp_path, tiny_data, capsys):
         cfg = tiny_config(tiny_data, epochs=1)
