@@ -7,11 +7,22 @@ engine itself is shape-agnostic so attention code can work on flattened
 matrix views. Convolutions gather sliding patches with stride tricks and
 reduce them with ``tensordot``; the quadruple-loop definition lives in the
 test suite as the reference oracle.
+
+Op contract: an op records one backward closure per tape node. It takes the
+output gradient ``g`` and hands each parent its vector-Jacobian product as
+``_give(parent, lambda: vjp)``, so an op body states only its VJPs; whether
+a parent needs a gradient, the sum over broadcast axes and the accumulation
+live in ``_give`` alone. The closure is one per node, not one per parent,
+because each closure object and its captured cells are garbage-collector
+work on every step. It accumulates rather than returning gradients, because
+perfbench's tracer wraps a node's ``_backward`` as a one-argument callable
+and discards its return value.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -153,34 +164,40 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = g if g.base is None and g.dtype == np.float64 else np.array(g, dtype=np.float64)
-    else:
-        t.grad = t.grad + g
-
-
 def _node(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
     out = Tensor(data)
+    out._op = op
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
-        out._op = op
-    else:
-        out._op = op
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+def _give(t: Tensor, vjp) -> None:
+    """Route a gradient to parent ``t``; every op's backward goes through here.
+
+    ``vjp`` is a thunk, called only when ``t`` requires a gradient. A
+    broadcast result is summed back down to ``t``'s shape. The first gradient
+    is stored as is when it is a float64 array that owns its buffer and copied
+    otherwise, so a grad is never a view into another array; later gradients
+    are added.
+    """
+    if not t.requires_grad:
+        return
+    g = vjp()
+    shape = t.data.shape
+    if g.shape != shape:
+        extra = g.ndim - len(shape)
+        if extra > 0:
+            g = g.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+        if axes:
+            g = g.sum(axis=axes, keepdims=True)
+    if t.grad is None:
+        t.grad = g if g.base is None and g.dtype == np.float64 else np.array(g, dtype=np.float64)
+    else:
+        t.grad = t.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +208,8 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+        _give(a, lambda: g)
+        _give(b, lambda: g)
 
     return _node(a.data + b.data, (a, b), bw, "add")
 
@@ -203,10 +218,8 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
+        _give(a, lambda: g)
+        _give(b, lambda: -g)
 
     return _node(a.data - b.data, (a, b), bw, "sub")
 
@@ -215,10 +228,8 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+        _give(a, lambda: g * b.data)
+        _give(b, lambda: g * a.data)
 
     return _node(a.data * b.data, (a, b), bw, "mul")
 
@@ -227,10 +238,8 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        _give(a, lambda: g / b.data)
+        _give(b, lambda: -g * a.data / (b.data * b.data))
 
     return _node(a.data / b.data, (a, b), bw, "div")
 
@@ -238,110 +247,73 @@ def div(a, b) -> Tensor:
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * c)
-
-    return _node(a.data * c, (a,), bw, "scale")
+    return _node(a.data * c, (a,), lambda g: _give(a, lambda: g * c), "scale")
 
 
 def absolute(a) -> Tensor:
     """|x|; the subgradient at 0 is taken as 0."""
     a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * np.sign(a.data))
-
-    return _node(np.abs(a.data), (a,), bw, "abs")
+    return _node(np.abs(a.data), (a,), lambda g: _give(a, lambda: g * np.sign(a.data)), "abs")
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (0.5 / out_data))
-
-    return _node(out_data, (a,), bw, "sqrt")
+    return _node(out_data, (a,), lambda g: _give(a, lambda: g * (0.5 / out_data)), "sqrt")
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (a.data > 0.0))
-
-    return _node(np.maximum(a.data, 0.0), (a,), bw, "relu")
+    return _node(np.maximum(a.data, 0.0), (a,), lambda g: _give(a, lambda: g * (a.data > 0.0)),
+                 "relu")
 
 
 def leaky_relu(a, alpha: float = 0.2) -> Tensor:
     """LeakyReLU; the subgradient at 0 takes the negative-slope branch."""
     a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * np.where(a.data > 0.0, 1.0, alpha))
-
-    return _node(np.where(a.data > 0.0, a.data, alpha * a.data), (a,), bw, "leaky_relu")
+    return _node(np.where(a.data > 0.0, a.data, alpha * a.data), (a,),
+                 lambda g: _give(a, lambda: g * np.where(a.data > 0.0, 1.0, alpha)), "leaky_relu")
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * s * (1.0 - s))
-
-    return _node(s, (a,), bw, "sigmoid")
+    return _node(s, (a,), lambda g: _give(a, lambda: g * s * (1.0 - s)), "sigmoid")
 
 
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     t = np.tanh(a.data)
+    return _node(t, (a,), lambda g: _give(a, lambda: g * (1.0 - t * t)), "tanh")
+
+
+def _reduce(a, axis, keepdims: bool, mean: bool, op: str) -> Tensor:
+    """Sum, or with ``mean`` average, over ``axis``. The backward spreads the
+    output gradient (divided by the number of entries averaged) evenly back
+    over the reduced axes."""
+    a = as_tensor(a)
+    ax = (axis,) if isinstance(axis, int) else axis
+    count = 1
+    if mean:
+        count = a.data.size if ax is None else math.prod(a.data.shape[i] for i in ax)
+    y = (a.data.mean if mean else a.data.sum)(axis=ax, keepdims=keepdims)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (1.0 - t * t))
+        if ax is not None and not keepdims:
+            g = np.expand_dims(g, ax)
+        # copy in C order: _give would copy the broadcast view in stride order
+        _give(a, lambda: np.broadcast_to(g / count, a.shape).copy())
 
-    return _node(t, (a,), bw, "tanh")
+    return _node(y, (a,), bw, op)
 
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    ax = (axis,) if isinstance(axis, int) else axis
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if ax is not None and not keepdims:
-            g = np.expand_dims(g, ax)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
-
-    return _node(a.data.sum(axis=ax, keepdims=keepdims), (a,), bw, "sum")
+    return _reduce(a, axis, keepdims, False, "sum")
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    ax = (axis,) if isinstance(axis, int) else axis
-    if ax is None:
-        count = a.data.size
-    else:
-        count = int(np.prod([a.data.shape[i] for i in ax]))
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if ax is not None and not keepdims:
-            g = np.expand_dims(g, ax)
-        _accum(a, np.broadcast_to(g / count, a.shape).copy())
-
-    return _node(a.data.mean(axis=ax, keepdims=keepdims), (a,), bw, "mean")
+    return _reduce(a, axis, keepdims, True, "mean")
 
 
 # ---------------------------------------------------------------------------
@@ -350,38 +322,27 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g.reshape(a.shape))
-
-    return _node(a.data.reshape(shape), (a,), bw, "reshape")
+    return _node(a.data.reshape(tuple(shape)), (a,), lambda g: _give(a, lambda: g.reshape(a.shape)),
+                 "reshape")
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g.transpose(inv))
-
-    return _node(np.ascontiguousarray(a.data.transpose(axes)), (a,), bw, "transpose")
+    return _node(np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                 lambda g: _give(a, lambda: g.transpose(inv)), "transpose")
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
 
     def bw(g):
+        idx = [slice(None)] * g.ndim
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accum(t, np.ascontiguousarray(g[tuple(idx)]))
+            idx[axis] = slice(lo, hi)
+            _give(t, lambda: np.ascontiguousarray(g[tuple(idx)]))
 
     return _node(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bw, "concat")
 
@@ -390,24 +351,15 @@ def pad(a, widths) -> Tensor:
     """Zero padding; ``widths`` is a per-axis (before, after) sequence."""
     a = as_tensor(a)
     widths = tuple((int(lo), int(hi)) for lo, hi in widths)
-
-    def bw(g):
-        if a.requires_grad:
-            idx = tuple(slice(lo, g.shape[i] - hi) for i, (lo, hi) in enumerate(widths))
-            _accum(a, np.ascontiguousarray(g[idx]))
-
-    return _node(np.pad(a.data, widths), (a,), bw, "pad")
+    inner = tuple(slice(lo, lo + n) for (lo, _), n in zip(widths, a.shape))
+    return _node(np.pad(a.data, widths), (a,),
+                 lambda g: _give(a, lambda: np.ascontiguousarray(g[inner])), "pad")
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
-    shape = tuple(shape)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-
-    return _node(np.broadcast_to(a.data, shape).copy(), (a,), bw, "broadcast_to")
+    return _node(np.broadcast_to(a.data, tuple(shape)).copy(), (a,), lambda g: _give(a, lambda: g),
+                 "broadcast_to")
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +379,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, _swap_last(b.data)), a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.matmul(_swap_last(a.data), g), b.shape))
+        _give(a, lambda: np.matmul(g, _swap_last(b.data)))
+        _give(b, lambda: np.matmul(_swap_last(a.data), g))
 
     return _node(np.matmul(a.data, b.data), (a, b), bw, "matmul")
 
@@ -441,12 +391,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-    return _node(y, (a,), bw, "softmax")
+    return _node(y, (a,), lambda g: _give(a, lambda: y * (g - (g * y).sum(axis=axis, keepdims=True))),
+                 "softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +447,10 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, pad: int, dilation: int
     return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
-def _conv_dw(x: np.ndarray, dy: np.ndarray, kh: int, kw: int, stride: int,
-             pad: int, dilation: int) -> np.ndarray:
+def _conv_dw(x: np.ndarray, dy: np.ndarray, kernel: tuple, stride: int, pad: int,
+             dilation: int) -> np.ndarray:
     ho, wo = dy.shape[2], dy.shape[3]
-    cols = _patch_view(_pad_hw(x, pad), kh, kw, stride, dilation, ho, wo)
+    cols = _patch_view(_pad_hw(x, pad), kernel[0], kernel[1], stride, dilation, ho, wo)
     return np.tensordot(dy, cols, axes=([0, 2, 3], [0, 4, 5]))  # (Co, C, kh, kw)
 
 
@@ -527,35 +473,56 @@ def _conv_dx(dy: np.ndarray, w: np.ndarray, xh: int, xw: int, stride: int,
     return _col2im(tmp.transpose(0, 3, 4, 5, 1, 2), xh, xw, stride, dilation, pad)
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: int = 1) -> Tensor:
-    """2-D cross-correlation of NCHW input with (C_out, C_in, kh, kw) weights."""
+def _conv(op: str, x, weight, bias, stride: int, padding: int, dilation: int,
+          transposed: bool) -> Tensor:
+    """conv2d, or with ``transposed`` its adjoint conv_transpose2d.
+
+    The two swap which of _conv_fwd and _conv_dx is the forward and which the
+    input VJP, and which side of _conv_dw the input and the output gradient
+    take; they share the operand checks and the bias gradient.
+    """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be NCHW rank 4, got shape {x.shape}")
+        raise ShapeError(f"{op}: input must be NCHW rank 4, got shape {x.shape}")
+    layout = "(C_in, C_out, kh, kw)" if transposed else "(C_out, C_in, kh, kw)"
     if weight.ndim != 4:
-        raise ShapeError(f"conv2d: weight must be rank 4 (C_out, C_in, kh, kw), got {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
-        raise ShapeError(
-            f"conv2d: input has {x.shape[1]} channels but weight expects {weight.shape[1]}")
+        raise ShapeError(f"{op}: weight must be rank 4 {layout}, got {weight.shape}")
+    c_in, c_out = weight.shape[:2] if transposed else weight.shape[1::-1]
+    if x.shape[1] != c_in:
+        raise ShapeError(f"{op}: input has {x.shape[1]} channels but weight expects {c_in}")
     bias = as_tensor(bias) if bias is not None else None
-    if bias is not None and bias.shape != (weight.shape[0],):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} does not match {weight.shape[0]} output channels")
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} does not match {c_out} output channels")
 
-    y = _conv_fwd(x.data, weight.data, stride, padding, dilation)
+    if transposed:
+        kh, kw = weight.shape[2], weight.shape[3]
+        ho = (x.shape[2] - 1) * stride - 2 * padding + dilation * (kh - 1) + 1
+        wo = (x.shape[3] - 1) * stride - 2 * padding + dilation * (kw - 1) + 1
+        if ho <= 0 or wo <= 0:
+            raise ShapeError(f"{op}: output extent {ho}x{wo} is not positive")
+        y = _conv_dx(x.data, weight.data, ho, wo, stride, padding, dilation)
+    else:
+        y = _conv_fwd(x.data, weight.data, stride, padding, dilation)
     if bias is not None:
         y = y + bias.data[None, :, None, None]
-    kh, kw = weight.shape[2], weight.shape[3]
 
     def bw(g):
-        if x.requires_grad:
-            _accum(x, _conv_dx(g, weight.data, x.shape[2], x.shape[3], stride, padding, dilation))
-        if weight.requires_grad:
-            _accum(weight, _conv_dw(x.data, g, kh, kw, stride, padding, dilation))
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
+        if transposed:
+            _give(x, lambda: _conv_fwd(g, weight.data, stride, padding, dilation))
+            _give(weight, lambda: _conv_dw(g, x.data, weight.shape[2:], stride, padding, dilation))
+        else:
+            _give(x, lambda: _conv_dx(g, weight.data, x.shape[2], x.shape[3], stride, padding,
+                                      dilation))
+            _give(weight, lambda: _conv_dw(x.data, g, weight.shape[2:], stride, padding, dilation))
+        if bias is not None:
+            _give(bias, lambda: g.sum(axis=(0, 2, 3)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(y, parents, bw, "conv2d")
+    return _node(y, (x, weight) if bias is None else (x, weight, bias), bw, op)
+
+
+def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: int = 1) -> Tensor:
+    """2-D cross-correlation of NCHW input with (C_out, C_in, kh, kw) weights."""
+    return _conv("conv2d", x, weight, bias, stride, padding, dilation, False)
 
 
 def conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int = 0,
@@ -565,38 +532,7 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int = 0,
     Weights are (C_in, C_out, kh, kw); output extent is
     (H-1)*stride - 2*padding + dilation*(kh-1) + 1.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
-    if x.ndim != 4:
-        raise ShapeError(f"conv_transpose2d: input must be NCHW rank 4, got shape {x.shape}")
-    if weight.ndim != 4:
-        raise ShapeError(f"conv_transpose2d: weight must be rank 4 (C_in, C_out, kh, kw), got {weight.shape}")
-    if x.shape[1] != weight.shape[0]:
-        raise ShapeError(
-            f"conv_transpose2d: input has {x.shape[1]} channels but weight expects {weight.shape[0]}")
-    bias = as_tensor(bias) if bias is not None else None
-    if bias is not None and bias.shape != (weight.shape[1],):
-        raise ShapeError(
-            f"conv_transpose2d: bias shape {bias.shape} does not match {weight.shape[1]} output channels")
-
-    kh, kw = weight.shape[2], weight.shape[3]
-    ho = (x.shape[2] - 1) * stride - 2 * padding + dilation * (kh - 1) + 1
-    wo = (x.shape[3] - 1) * stride - 2 * padding + dilation * (kw - 1) + 1
-    if ho <= 0 or wo <= 0:
-        raise ShapeError(f"conv_transpose2d: output extent {ho}x{wo} is not positive")
-    y = _conv_dx(x.data, weight.data, ho, wo, stride, padding, dilation)
-    if bias is not None:
-        y = y + bias.data[None, :, None, None]
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, _conv_fwd(g, weight.data, stride, padding, dilation))
-        if weight.requires_grad:
-            _accum(weight, _conv_dw(g, x.data, kh, kw, stride, padding, dilation))
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _node(y, parents, bw, "conv_transpose2d")
+    return _conv("conv_transpose2d", x, weight, bias, stride, padding, dilation, True)
 
 
 def unfold(x, kernel: int = 3, padding: int = 1) -> Tensor:
@@ -608,15 +544,10 @@ def unfold(x, kernel: int = 3, padding: int = 1) -> Tensor:
     ho = conv_out_size(x.shape[2], k, 1, padding, 1)
     wo = conv_out_size(x.shape[3], k, 1, padding, 1)
     cols = _patch_view(_pad_hw(x.data, padding), k, k, 1, 1, ho, wo)
-    n, c = x.shape[0], x.shape[1]
-    out = np.ascontiguousarray(cols).reshape(n, c, k * k, ho, wo)
-
-    def bw(g):
-        if not x.requires_grad:
-            return
-        _accum(x, _col2im(g.reshape(n, c, k, k, ho, wo), x.shape[2], x.shape[3], 1, 1, padding))
-
-    return _node(out, (x,), bw, "unfold")
+    taps = cols.shape
+    out = np.ascontiguousarray(cols).reshape(x.shape[0], x.shape[1], k * k, ho, wo)
+    return _node(out, (x,), lambda g: _give(
+        x, lambda: _col2im(g.reshape(taps), x.shape[2], x.shape[3], 1, 1, padding)), "unfold")
 
 
 # ---------------------------------------------------------------------------
@@ -634,30 +565,20 @@ def avg_pool2d(x, kernel: int, stride: int | None = None) -> Tensor:
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"avg_pool2d: window {k} does not fit input {x.shape}")
     cols = _patch_view(x.data, k, k, s, 1, ho, wo)
-    out = cols.mean(axis=(2, 3))
+    taps = cols.shape
 
     def bw(g):
-        if not x.requires_grad:
-            return
-        n, c = g.shape[:2]
-        share = np.broadcast_to((g / (k * k))[:, :, None, None], (n, c, k, k, ho, wo))
-        _accum(x, _col2im(share, x.shape[2], x.shape[3], s, 1))
+        _give(x, lambda: _col2im(np.broadcast_to((g / (k * k))[:, :, None, None], taps),
+                                 x.shape[2], x.shape[3], s, 1))
 
-    return _node(out, (x,), bw, "avg_pool2d")
+    return _node(cols.mean(axis=(2, 3)), (x,), bw, "avg_pool2d")
 
 
 def global_avg_pool(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool: input must be NCHW rank 4, got shape {x.shape}")
-    hw = x.shape[2] * x.shape[3]
-    out = x.data.mean(axis=(2, 3), keepdims=True)
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, np.broadcast_to(g / hw, x.shape).copy())
-
-    return _node(out, (x,), bw, "global_avg_pool")
+    return _reduce(x, (2, 3), True, True, "global_avg_pool")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ single machine-parsable ``error:<category>: message`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,8 +20,8 @@ from . import evaluation, experiments, gradcheck, synthetic, tensorfile
 from .config import ConfigError, load_config
 from .model import CloudRemovalNet
 from .nn import StateDictError
-from .training import (TrainingDiverged, load_checkpoint, model_config_from_meta,
-                       read_meta, train)
+from .training import (CheckpointError, MissingCheckpoint, TrainingDiverged, load_checkpoint,
+                       model_config_from_meta, read_meta, train)
 
 
 class CliError(Exception):
@@ -43,20 +44,21 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    log_lines = []
+    # a resumed run appends, so the log of the run it continues is kept
+    with open(config.log_path or os.devnull, "a" if args.resume else "w") as log_file:
+        def log(msg):
+            print(msg)
+            log_file.write(msg + "\n")
+            log_file.flush()  # a crashed or killed run keeps its log
 
-    def log(msg):
-        print(msg)
-        log_lines.append(msg)
-
-    try:
-        train(config, log=log, resume=args.resume)
-    except TrainingDiverged as exc:
-        raise CliError("diverged", str(exc)) from exc
-    except FileNotFoundError as exc:
-        raise CliError("missing-data", str(exc)) from exc
-    if config.log_path:
-        Path(config.log_path).write_text("\n".join(log_lines) + "\n")
+        try:
+            train(config, log=log, resume=args.resume)
+        except TrainingDiverged as exc:
+            raise CliError("diverged", str(exc)) from exc
+        except MissingCheckpoint as exc:
+            raise CliError("missing-checkpoint", str(exc)) from exc
+        except FileNotFoundError as exc:
+            raise CliError("missing-data", str(exc)) from exc
     print(f"checkpoint written to {config.checkpoint_dir}")
     return 0
 
@@ -194,7 +196,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error:config: {exc}", file=sys.stderr)
         return 1
-    except StateDictError as exc:
+    except (StateDictError, CheckpointError) as exc:
         print(f"error:checkpoint: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -41,6 +41,19 @@ class StateDictError(ValueError):
     """A state dict has missing, unexpected or misshapen entries for a module."""
 
 
+def check_state_dict(own: dict, state: dict, owner: str) -> None:
+    """Raise StateDictError unless ``state`` has exactly the keys of ``own``,
+    each with the same shape."""
+    missing = sorted(own.keys() - state.keys())
+    extra = sorted(state.keys() - own.keys())
+    if missing or extra:
+        raise StateDictError(f"state does not match the {owner}: {len(missing)} missing "
+                             f"{missing[:3]}, {len(extra)} unexpected {extra[:3]}")
+    for name, arr in own.items():
+        if np.shape(state[name]) != np.shape(arr):
+            raise StateDictError(f"'{name}': stored shape {np.shape(state[name])} != {np.shape(arr)}")
+
+
 class Module:
     """Minimal parameter container with stable, dotted state names."""
 
@@ -80,15 +93,7 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        own = self.state_dict()
-        missing = sorted(own.keys() - state.keys())
-        extra = sorted(state.keys() - own.keys())
-        if missing or extra:
-            raise StateDictError(f"state does not match the module: {len(missing)} missing "
-                                 f"{missing[:3]}, {len(extra)} unexpected {extra[:3]}")
-        for name, arr in own.items():
-            if state[name].shape != arr.shape:
-                raise StateDictError(f"'{name}': stored shape {state[name].shape} != {arr.shape}")
+        check_state_dict(self.state_dict(), state, "module")
         for name, p in self.named_parameters():
             p.data = np.array(state[name], dtype=np.float64)
         for name, buf in self.named_buffers():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
+from .nn import check_state_dict
 
 
 class Adam:
@@ -61,6 +62,7 @@ class Adam:
         return state
 
     def load_state_dict(self, state: dict):
+        check_state_dict(self.state_dict(), state, "optimizer")
         self.step_count = int(state["step"])
         for name, _ in self.named_params:
             self.m[name] = np.array(state[f"m.{name}"], dtype=np.float64)

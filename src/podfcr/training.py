@@ -22,7 +22,7 @@ from .config import RunConfig, field_types, read_key_values, write_key_values
 from .model import CloudRemovalNet, ModelConfig
 from .optim import Adam
 from .synthetic import SamplePair, load_sample, read_manifest, seed_for
-from .tensorfile import read_tensor, write_tensor
+from .tensorfile import TensorFileError, read_tensor, write_tensor
 
 
 META_TYPES = {"epoch": "int", "step": "int", "seed": "int"} | field_types(ModelConfig)
@@ -30,6 +30,14 @@ META_TYPES = {"epoch": "int", "step": "int", "seed": "int"} | field_types(ModelC
 
 class TrainingDiverged(RuntimeError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint whose meta file or stored tensors cannot be read back."""
+
+
+class MissingCheckpoint(FileNotFoundError):
+    """No checkpoint manifest or meta file where one was expected."""
 
 
 @dataclass
@@ -91,8 +99,23 @@ def save_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam,
     write_key_values(ckpt_dir / "meta.txt", counters | asdict(net.config))
 
 
+def _checkpoint_file(ckpt_dir, name: str) -> Path:
+    path = Path(ckpt_dir) / name
+    if not path.is_file():
+        raise MissingCheckpoint(f"no checkpoint in {ckpt_dir}: {path} does not exist")
+    return path
+
+
 def read_meta(ckpt_dir) -> dict:
-    return read_key_values(Path(ckpt_dir) / "meta.txt", META_TYPES)
+    path = _checkpoint_file(ckpt_dir, "meta.txt")
+    try:
+        meta = read_key_values(path, META_TYPES)
+    except ValueError as exc:  # ConfigError, or a malformed number
+        raise CheckpointError(str(exc)) from exc
+    missing = sorted(META_TYPES.keys() - meta.keys())
+    if missing:
+        raise CheckpointError(f"{path}: missing keys {missing}")
+    return meta
 
 
 def model_config_from_meta(meta: dict) -> ModelConfig:
@@ -105,8 +128,12 @@ def load_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam | None = Non
     ckpt_dir = Path(ckpt_dir)
     kinds = ("param.", "buffer.") if optimizer is None else ("param.", "buffer.", "adam.")
     names = [line.split("\t")[0] for line in
-             (ckpt_dir / "manifest.txt").read_text().splitlines() if line.startswith(kinds)]
-    stored = {name: read_tensor(ckpt_dir / "tensors" / f"{name}.ptf") for name in names}
+             _checkpoint_file(ckpt_dir, "manifest.txt").read_text().splitlines()
+             if line.startswith(kinds)]
+    try:
+        stored = {name: read_tensor(ckpt_dir / "tensors" / f"{name}.ptf") for name in names}
+    except (TensorFileError, FileNotFoundError) as exc:
+        raise CheckpointError(str(exc)) from exc
     net.load_state_dict({name.split(".", 1)[1]: arr for name, arr in stored.items()
                          if not name.startswith("adam.")})
     meta = read_meta(ckpt_dir)

@@ -239,6 +239,38 @@ class TestBackward:
         assert y._parents == () and not y.requires_grad
 
 
+class TestGradientRouting:
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("small_shape", [(1, 3, 1, 1), (3, 1, 1), ()], ids=str)
+    def test_broadcast_operands(self, rng, op, small_shape):
+        # positive values keep div away from its pole; both operand orders
+        big = Tensor(rng.uniform(0.5, 1.5, (2, 3, 4, 5)), requires_grad=True)
+        small = Tensor(rng.uniform(0.5, 1.5, small_shape), requires_grad=True)
+        assert gradcheck(lambda: op(big, small), [big, small]) <= 1e-6
+        assert gradcheck(lambda: op(small, big), [big, small]) <= 1e-6
+
+    def test_batch_broadcast_matmul(self, rng):
+        a = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        b = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        assert gradcheck(lambda: ad.matmul(a, b), [a, b]) <= 1e-6
+        assert b.grad.shape == (6, 3)
+
+    def test_input_vjp_skipped_without_input_grad(self, rng, monkeypatch):
+        calls = []
+        conv_dx = ad._conv_dx
+
+        def counting_conv_dx(*args):
+            calls.append(1)
+            return conv_dx(*args)
+
+        monkeypatch.setattr(ad, "_conv_dx", counting_conv_dx)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        for x_needs_grad, expected in ((False, 0), (True, 1)):
+            x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=x_needs_grad)
+            ad.tsum(ad.conv2d(x, w, padding=1)).backward()
+            assert len(calls) == expected and (x.grad is not None) == x_needs_grad
+
+
 class TestDeterminism:
     def test_bit_identical_outputs(self):
         def run():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from podfcr.cli import main as cli_main
 from podfcr.config import ConfigError, RunConfig, load_config, save_config
 from podfcr.experiments import INPUT_VARIANTS, MODULE_VARIANTS
 from podfcr.model import CloudRemovalNet
+from podfcr.nn import Conv2d, StateDictError
 from podfcr.optim import Adam
 from podfcr.synthetic import CLASS_LABELS, COVERAGE_BINS, build_dataset
 from podfcr.tensorfile import read_tensor
@@ -143,6 +146,22 @@ class TestTraining:
         net = CloudRemovalNet(cfg.model_config(), seed=1)
         load_checkpoint(cfg.checkpoint_dir, net)
         assert len(reads) == len(list(net.named_parameters())) + len(list(net.named_buffers()))
+
+    def test_adam_load_state_dict_rejects_bad_moments_before_changing(self, rng):
+        optimizer = Adam(list(Conv2d(rng, 2, 3).named_parameters()))
+        state = {k: v if k == "step" else rng.normal(size=v.shape)
+                 for k, v in optimizer.state_dict().items()} | {"step": 3}
+        name = next(k for k in state if k.startswith("v."))
+        bad_states = [{k: v for k, v in state.items() if k != name},
+                      state | {"m.not_a_param": np.zeros(1)},
+                      state | {name: np.zeros(state[name].size + 1)}]
+        for bad, match in zip(bad_states, ("1 missing", "1 unexpected", "stored shape")):
+            with pytest.raises(StateDictError, match=match):
+                optimizer.load_state_dict(bad)
+            assert optimizer.step_count == 0
+            assert all(not m.any() for m in optimizer.m.values())
+        optimizer.load_state_dict(state)
+        assert optimizer.step_count == 3 and np.array_equal(optimizer.v[name[2:]], state[name])
 
     @pytest.mark.parametrize("name,overrides", MODULE_VARIANTS + INPUT_VARIANTS,
                              ids=[name for name, _ in MODULE_VARIANTS + INPUT_VARIANTS])
@@ -300,7 +319,58 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 0
         log = (tmp_path / "train.log").read_text()
         assert "epoch=1" in log and "loss_total=" in log
+        save_config(tiny_config(tiny_data, epochs=2, log_path=cfg.log_path), cfg_path)
+        assert cli_main(["train", "--config", str(cfg_path), "--resume"]) == 0
+        log = (tmp_path / "train.log").read_text()
+        assert "epoch=1 " in log and "resumed" in log and "epoch=2 " in log
         capsys.readouterr()
+
+    def test_train_log_survives_a_crash(self, tiny_data, tmp_path, capsys, monkeypatch):
+        cfg = tiny_config(tiny_data, epochs=2, log_path=str(tmp_path / "train.log"))
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+
+        def failing_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(training, "save_checkpoint", failing_save)
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:runtime: disk full")
+        assert "epoch=1 " in (tmp_path / "train.log").read_text()
+
+    def test_resume_without_checkpoint_category(self, tiny_data, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        save_config(tiny_config(tiny_data, checkpoint_dir=str(tmp_path / "absent")), cfg_path)
+        code = cli_main(["train", "--config", str(cfg_path), "--resume"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:missing-checkpoint:")
+
+    @pytest.mark.parametrize("damage", ["manifest_cut_in_adam", "tensor_truncated",
+                                        "meta_unknown_key", "meta_cut"])
+    def test_damaged_checkpoint_is_checkpoint_error(self, tiny_data, tmp_path, capsys, damage):
+        cfg = tiny_config(tiny_data, epochs=1)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = Path(cfg.checkpoint_dir)
+        if damage == "manifest_cut_in_adam":
+            lines = (ckpt / "manifest.txt").read_text().splitlines()
+            cut = next(i for i, line in enumerate(lines) if line.startswith("adam.v.")) + 3
+            (ckpt / "manifest.txt").write_text("\n".join(lines[:cut]) + "\n")
+        elif damage == "tensor_truncated":
+            path = ckpt / "tensors" / "param.out_conv.bias.ptf"
+            path.write_bytes(path.read_bytes()[:-8])
+        elif damage == "meta_unknown_key":
+            with open(ckpt / "meta.txt", "a") as meta:
+                meta.write("bogus = 1\n")
+        else:
+            lines = (ckpt / "meta.txt").read_text().splitlines(keepends=True)
+            (ckpt / "meta.txt").write_text("".join(lines[:2]))
+        capsys.readouterr()
+        code = cli_main(["train", "--config", str(cfg_path), "--resume"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:checkpoint:")
 
     def test_infer_without_radar_checkpoint(self, tiny_data, tmp_path, capsys):
         cfg = tiny_config(tiny_data, epochs=1, sar_input="none",
