@@ -10,10 +10,10 @@ from .autodiff import (GraphError, ShapeError, Tensor, avg_pool2d, batch_norm,
                        concat, conv2d, conv_transpose2d, global_avg_pool,
                        leaky_relu, matmul, no_grad, relu, reshape, sigmoid,
                        softmax, tanh, transpose, unfold)
-from .config import RunConfig, load_config, save_config
+from .config import ModelConfig, RunConfig, load_config, save_config
 from .losses import loss_global, loss_local, loss_ssim, loss_total, ssim
 from .metrics import cc, psnr, sam, ssim_metric
-from .model import CloudRemovalNet, ModelConfig
+from .model import CloudRemovalNet
 from .nn import (ASPP, SCDF, BatchNorm2d, Conv2d, ConvTranspose2d,
                  DynamicFilterResidualBlock, FilterNorm, GatedConv2d,
                  GatedResidualBlock, Linear, Module, PlainResidualBlock,

@@ -103,7 +103,7 @@ def cmd_ablate(args) -> int:
 def cmd_infer(args) -> int:
     net = _restore(args.checkpoint)
     paths = args.inputs
-    needs_sar = not net.config.no_polsar
+    needs_sar = net.config.radar_channels > 0
     if needs_sar and len(paths) != 2:
         raise CliError("usage", "this checkpoint needs two inputs: cloudy and radar tensors")
     if not needs_sar and len(paths) not in (1, 2):

@@ -1,9 +1,12 @@
-"""Run configuration: defaults follow the training recipe (Adam with
-beta1=0.5, beta2=0.999, learning rate 7e-5, loss weights 10 and 1, 200
-training iterations read as epochs).
+"""The config schema: ``ModelConfig`` holds the fields that fix the network
+(and that a checkpoint's ``meta.txt`` stores), ``RunConfig`` extends it with
+the training, loss and path fields. Each key is declared once, here.
 
-Configs serialize as ``key = value`` lines; unknown keys are rejected so a
-typo cannot silently fall back to a default.
+Defaults follow the training recipe (Adam with beta1=0.5, beta2=0.999,
+learning rate 7e-5, loss weights 10 and 1, 200 training iterations read as
+epochs). Configs serialize as ``key = value`` lines; unknown keys are
+rejected so a typo cannot silently fall back to a default, and invalid
+values fail when the config is built.
 """
 
 from __future__ import annotations
@@ -11,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .model import ModelConfig
-
-SAR_INPUTS = ("pfsar", "bcfsar", "both", "none")
-_SAR_CHANNELS = {"pfsar": 9, "bcfsar": 3, "both": 12, "none": 0}
+from .synthetic import SAR_INPUT_ROLES, SAR_ROLE_CHANNELS
 
 
 class ConfigError(ValueError):
@@ -22,10 +22,48 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
+class ModelConfig:
+    """The fields that fix the network; checkpoints store them in ``meta.txt``."""
+
+    base_channels: int = 8          # 64 at full scale, 8 at desk scale
+    patch: int = 32                 # 256 at full scale
+    sar_input: str = "pfsar"        # a key of synthetic.SAR_INPUT_ROLES; "none" = optical only
+    no_scdf: bool = False
+    no_gc: bool = False
+    no_mmcf: bool = False
+    no_mmrf: bool = False
+    no_aspp: bool = False
+    scru_literal: bool = False
+
+    def __post_init__(self):
+        if self.sar_input not in SAR_INPUT_ROLES:
+            raise ConfigError(f"sar_input must be one of {tuple(SAR_INPUT_ROLES)}, "
+                              f"got {self.sar_input!r}")
+        if self.patch % 4 != 0 or self.patch < 8:
+            raise ConfigError(f"patch must be a multiple of 4 and at least 8, got {self.patch}")
+        if self.base_channels < 1:
+            raise ConfigError(f"base_channels must be positive, got {self.base_channels}")
+
+    @property
+    def radar_channels(self) -> int:
+        """Width of the stacked radar input; 0 builds the optical-only model."""
+        return sum(SAR_ROLE_CHANNELS[role] for role in SAR_INPUT_ROLES[self.sar_input])
+
+    @property
+    def channel_schedule(self) -> tuple[int, int, int]:
+        return self.base_channels, 2 * self.base_channels, 4 * self.base_channels
+
+    @property
+    def aspp_rates(self) -> tuple[int, int, int]:
+        # full rates need patch >= 2 * max rate; otherwise use the reduced set
+        return (6, 12, 18) if self.patch >= 36 else (2, 4, 6)
+
+
+@dataclass
+class RunConfig(ModelConfig):
+    """A ``ModelConfig`` plus the training, loss and path fields of a run."""
+
     seed: int = 0
-    patch: int = 32
-    base_channels: int = 8
     epochs: int = 200
     max_steps: int = 0              # 0 = train for the full epoch budget
     batch_size: int = 1
@@ -35,38 +73,24 @@ class RunConfig:
     lambda_local: float = 10.0
     lambda_ssim: float = 1.0
     grad_clip: float = 0.0          # 0 disables; >0 clips the global grad norm
-    sar_input: str = "pfsar"
-    no_scdf: bool = False
-    no_gc: bool = False
-    no_mmcf: bool = False
-    no_mmrf: bool = False
-    no_aspp: bool = False
-    no_polsar: bool = False
-    scru_literal: bool = False
     data_dir: str = "data"
     checkpoint_dir: str = "checkpoint"
     report_path: str = "report.txt"
     log_path: str = ""              # empty = log to stdout only
 
     def __post_init__(self):
-        if self.sar_input not in SAR_INPUTS:
-            raise ConfigError(f"sar_input must be one of {SAR_INPUTS}, got {self.sar_input!r}")
-        if self.sar_input == "none":
-            self.no_polsar = True
-        if self.no_polsar:
-            self.sar_input = "none"
+        super().__post_init__()
         if self.lambda_local < 0 or self.lambda_ssim < 0:
             raise ConfigError("loss weights must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-
-    @property
-    def sar_channels(self) -> int:
-        return _SAR_CHANNELS[self.sar_input]
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
 
     def model_config(self) -> ModelConfig:
-        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in _FIELDS}
-        return ModelConfig(sar_in_channels=max(self.sar_channels, 1), **shared)
+        return ModelConfig(**{name: getattr(self, name) for name in field_types(ModelConfig)})
 
 
 def field_types(cls) -> dict[str, str]:
@@ -75,28 +99,14 @@ def field_types(cls) -> dict[str, str]:
 
 
 _FIELDS = field_types(RunConfig)
-_BOOL_TRUE = {"true", "1", "yes", "on"}
-_BOOL_FALSE = {"false", "0", "no", "off"}
-
-
-def _parse_value(key: str, kind: str, raw: str):
-    if kind == "bool":
-        low = raw.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+_PARSERS = {"bool": lambda raw: _BOOLS[raw.lower()], "int": int, "float": float, "str": str}
 
 
 def read_key_values(path, types: dict[str, str]) -> dict:
-    """Parse ``key = value`` lines into typed values; keys outside ``types``
-    and repeated keys are errors."""
+    """Parse ``key = value`` lines into typed values; keys outside ``types``,
+    repeated keys and values that do not parse as their type are errors."""
     values = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -109,7 +119,11 @@ def read_key_values(path, types: dict[str, str]) -> dict:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, types[key], raw)
+        try:
+            values[key] = _PARSERS[types[key]](raw)
+        except (KeyError, ValueError):
+            raise ConfigError(
+                f"{path}:{lineno}: {key}: expected {types[key]}, got {raw!r}") from None
     return values
 
 

@@ -16,12 +16,12 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .config import RunConfig
+from .metrics import METRICS
 from .model import CloudRemovalNet
 from .synthetic import CLASS_LABELS, COVERAGE_BINS, SamplePair
 from .training import load_dataset, make_batch
 
-REPORT_HEADER = "# scope\tcoverage_bin\tclass\tcount\tpsnr\tssim\tcc\tsam"
-METRICS = ("psnr", "ssim", "cc", "sam")
+REPORT_HEADER = "\t".join(("# scope", "coverage_bin", "class", "count") + METRICS)
 
 
 def predict(net: CloudRemovalNet, samples: list[SamplePair], sar_input: str,

@@ -31,7 +31,7 @@ INPUT_VARIANTS = (
     ("input_pfsar", None),  # alias of the full baseline
 )
 
-ABLATION_HEADER = "# variant\tcount\tpsnr\tssim\tcc\tsam"
+ABLATION_HEADER = "\t".join(("# variant", "count") + metrics.METRICS)
 
 
 def variant_config(config: RunConfig, name: str, overrides: dict) -> RunConfig:

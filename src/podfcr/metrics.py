@@ -71,25 +71,18 @@ def ssim_metric(pred: np.ndarray, target: np.ndarray) -> float:
         return losses.ssim(ad.Tensor(a), ad.Tensor(b)).item()
 
 
+_METRIC_FNS = {"psnr": psnr, "ssim": ssim_metric, "cc": cc, "sam": sam}
+METRICS = tuple(_METRIC_FNS)  # the report's metric columns, in order
+
+
 def evaluate_pair(pred: np.ndarray, target: np.ndarray) -> dict[str, float]:
-    return {
-        "psnr": psnr(pred, target),
-        "ssim": ssim_metric(pred, target),
-        "cc": cc(pred, target),
-        "sam": sam(pred, target),
-    }
+    return {name: fn(pred, target) for name, fn in _METRIC_FNS.items()}
 
 
 def aggregate(rows: list[dict[str, float]]) -> dict[str, float]:
     """Mean metrics over samples; infinite PSNR enters as the 100 dB cap."""
-    if not rows:
-        return {"count": 0, "psnr": float("nan"), "ssim": float("nan"),
-                "cc": float("nan"), "sam": float("nan")}
-    capped = [min(r["psnr"], PSNR_CAP_DB) for r in rows]
-    return {
-        "count": len(rows),
-        "psnr": float(np.mean(capped)),
-        "ssim": float(np.mean([r["ssim"] for r in rows])),
-        "cc": float(np.mean([r["cc"] for r in rows])),
-        "sam": float(np.mean([r["sam"] for r in rows])),
-    }
+    means = {"count": len(rows)}
+    for name in METRICS:
+        values = [min(r[name], PSNR_CAP_DB) if name == "psnr" else r[name] for r in rows]
+        means[name] = float(np.mean(values)) if rows else float("nan")
+    return means

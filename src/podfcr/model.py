@@ -6,51 +6,20 @@ cross-fusion blocks, a fusion branch that pools the per-scale fused maps to
 the deepest scale, attention refinement over the three deepest-scale
 branches, and an ASPP decoder with skip connections plus a long additive
 skip from the cloudy input to the output. Ablation flags are applied at
-build time and swap blocks for their plain counterparts.
+build time and swap blocks for their plain counterparts. The network is
+built from a ``ModelConfig``, whose schema lives in ``config``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import ShapeError, Tensor
+from .config import ModelConfig
 from .fusion import MMCF, MMRF
-
-
-@dataclass
-class ModelConfig:
-    base_channels: int = 8          # 64 at full scale, 8 at desk scale
-    opt_in_channels: int = 4
-    sar_in_channels: int = 9        # 9 PFSAR, 3 BCFSAR, 12 combined
-    patch: int = 32                 # 256 at full scale
-    no_scdf: bool = False
-    no_gc: bool = False
-    no_mmcf: bool = False
-    no_mmrf: bool = False
-    no_aspp: bool = False
-    no_polsar: bool = False
-    scru_literal: bool = False
-
-    def __post_init__(self):
-        if self.patch % 4 != 0 or self.patch < 8:
-            raise ValueError(f"patch must be a multiple of 4 and at least 8, got {self.patch}")
-        if self.base_channels < 1:
-            raise ValueError(f"base_channels must be positive, got {self.base_channels}")
-        if not self.no_polsar and self.sar_in_channels < 1:
-            raise ValueError("sar_in_channels must be positive for the dual-stream model")
-
-    @property
-    def channel_schedule(self) -> tuple[int, int, int]:
-        return self.base_channels, 2 * self.base_channels, 4 * self.base_channels
-
-    @property
-    def aspp_rates(self) -> tuple[int, int, int]:
-        # full rates need patch >= 2 * max rate; otherwise use the reduced set
-        return (6, 12, 18) if self.patch >= 36 else (2, 4, 6)
+from .synthetic import OPTICAL_CHANNELS
 
 
 class CloudRemovalNet(nn.Module):
@@ -60,9 +29,9 @@ class CloudRemovalNet(nn.Module):
         c1, c2, c3 = config.channel_schedule
         gated = not config.no_gc
         cross = not config.no_mmcf
-        dual = not config.no_polsar
+        dual = config.radar_channels > 0
 
-        self.opt_stem = nn.Conv2d(rng, config.opt_in_channels, c1)
+        self.opt_stem = nn.Conv2d(rng, OPTICAL_CHANNELS, c1)
         self.opt_rb1 = nn.GatedResidualBlock(rng, c1, gated=gated)
         self.opt_down1 = nn.Downsample(rng, c1)
         self.opt_rb2 = nn.GatedResidualBlock(rng, c2, gated=gated)
@@ -73,7 +42,7 @@ class CloudRemovalNet(nn.Module):
 
         if dual:
             scdf = not config.no_scdf
-            self.sar_stem = nn.Conv2d(rng, config.sar_in_channels, c1)
+            self.sar_stem = nn.Conv2d(rng, config.radar_channels, c1)
             self.sar_rb1 = nn.DynamicFilterResidualBlock(rng, c1, use_scdf=scdf)
             self.sar_down1 = nn.Downsample(rng, c1)
             self.sar_rb2 = nn.DynamicFilterResidualBlock(rng, c2, use_scdf=scdf)
@@ -100,26 +69,26 @@ class CloudRemovalNet(nn.Module):
         self.up2 = nn.Upsample(rng, c2)
         self.merge2 = nn.Conv2d(rng, 2 * c1, c1, kernel=1, padding=0)
         self.dec_rb2 = [nn.PlainResidualBlock(rng, c1) for _ in range(2)]
-        self.out_conv = nn.Conv2d(rng, c1, config.opt_in_channels)
+        self.out_conv = nn.Conv2d(rng, c1, OPTICAL_CHANNELS)
         # zero-init the final conv so the network starts as the identity on
         # the cloudy input (long-skip residual form)
         self.out_conv.weight.data[...] = 0.0
 
     def _check_inputs(self, cloudy: Tensor, sar: Tensor | None):
         cfg = self.config
-        if cloudy.ndim != 4 or cloudy.shape[1] != cfg.opt_in_channels:
+        if cloudy.ndim != 4 or cloudy.shape[1] != OPTICAL_CHANNELS:
             raise ShapeError(
-                f"forward: cloudy input must be (N,{cfg.opt_in_channels},P,P), got {cloudy.shape}")
+                f"forward: cloudy input must be (N,{OPTICAL_CHANNELS},P,P), got {cloudy.shape}")
         if cloudy.shape[2] != cfg.patch or cloudy.shape[3] != cfg.patch:
             raise ShapeError(f"forward: expected patch {cfg.patch}, got {cloudy.shape}")
         if cloudy.data.min() < -1e-9 or cloudy.data.max() > 1.0 + 1e-9:
             raise ValueError("forward: cloudy input must be normalized to [0, 1]")
-        if not cfg.no_polsar:
+        if cfg.radar_channels:
             if sar is None:
                 raise ShapeError("forward: the dual-stream model needs a radar input")
-            if sar.ndim != 4 or sar.shape[1] != cfg.sar_in_channels:
+            if sar.ndim != 4 or sar.shape[1] != cfg.radar_channels:
                 raise ShapeError(
-                    f"forward: radar input must be (N,{cfg.sar_in_channels},P,P), got {sar.shape}")
+                    f"forward: radar input must be (N,{cfg.radar_channels},P,P), got {sar.shape}")
             if sar.shape[0] != cloudy.shape[0] or sar.shape[2:] != cloudy.shape[2:]:
                 raise ShapeError(
                     f"forward: radar shape {sar.shape} does not match optical {cloudy.shape}")
@@ -131,7 +100,7 @@ class CloudRemovalNet(nn.Module):
         sar = ad.as_tensor(sar) if sar is not None else None
         self._check_inputs(cloudy, sar)
         cfg = self.config
-        dual = not cfg.no_polsar
+        dual = cfg.radar_channels > 0
 
         x_o = self.opt_rb1(nn.act(self.opt_stem(cloudy)))
         if dual:

@@ -40,6 +40,10 @@ SAMPLE_ROLES = ("cloudy", "clean", "mask", "pfsar", "bcfsar")
 PFSAR_CHANNELS = 9
 BCFSAR_CHANNELS = 3
 OPTICAL_CHANNELS = 4
+# radar input of the input ablation -> the sample roles stacked, in order, into it
+SAR_INPUT_ROLES = {"pfsar": ("pfsar",), "bcfsar": ("bcfsar",),
+                   "both": ("pfsar", "bcfsar"), "none": ()}
+SAR_ROLE_CHANNELS = {"pfsar": PFSAR_CHANNELS, "bcfsar": BCFSAR_CHANNELS}
 
 NOISE_GRIDS = (4, 8, 16)
 NOISE_WEIGHTS = (1.0, 0.5, 0.25)

@@ -18,10 +18,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses, metrics
-from .config import RunConfig, field_types, read_key_values, write_key_values
-from .model import CloudRemovalNet, ModelConfig
+from .config import (ConfigError, ModelConfig, RunConfig, field_types, read_key_values,
+                     write_key_values)
+from .model import CloudRemovalNet
 from .optim import Adam
-from .synthetic import SamplePair, load_sample, read_manifest, seed_for
+from .synthetic import SAR_INPUT_ROLES, SamplePair, load_sample, read_manifest, seed_for
 from .tensorfile import TensorFileError, read_tensor, write_tensor
 
 
@@ -55,23 +56,14 @@ def load_dataset(data_dir) -> LoadedDataset:
     return LoadedDataset(train=train, test=test)
 
 
-def sar_stack(sample: SamplePair, sar_input: str) -> np.ndarray | None:
-    if sar_input == "pfsar":
-        return sample.pfsar
-    if sar_input == "bcfsar":
-        return sample.bcfsar
-    if sar_input == "both":
-        return np.concatenate([sample.pfsar, sample.bcfsar], axis=0)
-    return None
-
-
 def make_batch(samples: list[SamplePair], sar_input: str):
     cloudy = ad.Tensor(np.stack([s.cloudy for s in samples]))
     clean = ad.Tensor(np.stack([s.clean for s in samples]))
     mask = ad.Tensor(np.stack([s.mask for s in samples]))
-    if sar_input == "none":
+    roles = SAR_INPUT_ROLES[sar_input]
+    if not roles:
         return cloudy, clean, mask, None
-    sar = ad.Tensor(np.stack([sar_stack(s, sar_input) for s in samples]))
+    sar = ad.Tensor(np.stack([np.concatenate([getattr(s, r) for r in roles]) for s in samples]))
     return cloudy, clean, mask, sar
 
 
@@ -115,11 +107,26 @@ def read_meta(ckpt_dir) -> dict:
     missing = sorted(META_TYPES.keys() - meta.keys())
     if missing:
         raise CheckpointError(f"{path}: missing keys {missing}")
+    try:
+        model_config_from_meta(meta)
+    except ConfigError as exc:  # parses, but holds a value ModelConfig rejects
+        raise CheckpointError(f"{path}: {exc}") from exc
     return meta
 
 
 def model_config_from_meta(meta: dict) -> ModelConfig:
     return ModelConfig(**{name: meta[name] for name in field_types(ModelConfig)})
+
+
+def check_resume_config(meta: dict, config: RunConfig) -> None:
+    """Reject a resume whose seed or model fields differ from the checkpoint's
+    (``patch``, ``scru_literal`` and the seed change no tensor name or shape)."""
+    differing = [f"{key} = {meta[key]} (run config: {getattr(config, key)})"
+                 for key in ("seed", *field_types(ModelConfig))
+                 if meta[key] != getattr(config, key)]
+    if differing:
+        raise CheckpointError(f"{config.checkpoint_dir} was written with another config: "
+                              + ", ".join(differing))
 
 
 def load_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam | None = None) -> int:
@@ -181,6 +188,7 @@ def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet
     ckpt_dir = Path(config.checkpoint_dir)
     if resume:
         load_checkpoint(ckpt_dir, net, optimizer)
+        check_resume_config(read_meta(ckpt_dir), config)
     n = len(dataset.train)
     per_epoch = -(-n // config.batch_size)
     start_epoch, done_batches = divmod(optimizer.step_count, per_epoch)

@@ -7,7 +7,7 @@ from podfcr.model import CloudRemovalNet, ModelConfig
 from podfcr.synthetic import make_sample
 from podfcr.training import make_batch
 
-DESK = dict(base_channels=4, patch=16, sar_in_channels=9)
+DESK = dict(base_channels=4, patch=16)
 
 
 def desk_net(seed=0, **overrides):
@@ -17,7 +17,7 @@ def desk_net(seed=0, **overrides):
 
 def desk_inputs(rng, cfg):
     cloudy = Tensor(rng.uniform(0, 1, (1, 4, cfg.patch, cfg.patch)))
-    sar = Tensor(rng.uniform(0, 1, (1, cfg.sar_in_channels, cfg.patch, cfg.patch)))
+    sar = Tensor(rng.uniform(0, 1, (1, cfg.radar_channels, cfg.patch, cfg.patch)))
     return cloudy, sar
 
 
@@ -38,7 +38,7 @@ class TestBuild:
         assert desk_net().parameter_count() == desk_net().parameter_count() > 0
 
     def test_full_scale_param_count_logged(self, capsys):
-        cfg = ModelConfig(base_channels=64, patch=256, sar_in_channels=9)
+        cfg = ModelConfig(base_channels=64, patch=256, sar_input="pfsar")
         net = CloudRemovalNet(cfg, seed=0)
         count = net.parameter_count()
         print(f"full-scale configuration: {count / 1e6:.2f} M parameters")
@@ -161,12 +161,15 @@ class TestForward:
 
 
 class TestAblations:
-    @pytest.mark.parametrize("flag", ["no_scdf", "no_gc", "no_mmcf", "no_mmrf",
-                                      "no_aspp", "no_polsar"])
-    def test_each_variant_preserves_shape(self, rng, flag):
-        net = desk_net(**{flag: True})
+    @pytest.mark.parametrize("overrides", [{"no_scdf": True}, {"no_gc": True},
+                                           {"no_mmcf": True}, {"no_mmrf": True},
+                                           {"no_aspp": True}, {"sar_input": "none"}],
+                             ids=["no_scdf", "no_gc", "no_mmcf", "no_mmrf", "no_aspp",
+                                  "sar_input_none"])
+    def test_each_variant_preserves_shape(self, rng, overrides):
+        net = desk_net(**overrides)
         cloudy, sar = desk_inputs(rng, net.config)
-        out = net.forward(cloudy, sar if flag != "no_polsar" else None, training=False)
+        out = net.forward(cloudy, sar if net.config.radar_channels else None, training=False)
         assert out.shape == cloudy.shape
 
     def test_combined_ablation_runs(self, rng):
@@ -174,8 +177,8 @@ class TestAblations:
         cloudy, sar = desk_inputs(rng, net.config)
         assert net.forward(cloudy, sar).shape == cloudy.shape
 
-    def test_no_polsar_ignores_radar(self, rng):
-        net = desk_net(no_polsar=True)
+    def test_sar_input_none_ignores_radar(self, rng):
+        net = desk_net(sar_input="none")
         cloudy, _ = desk_inputs(rng, net.config)
         sar = Tensor(rng.uniform(0, 1, (1, 9, 16, 16)), requires_grad=True)
         pred = net.forward(cloudy, sar, training=True)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from podfcr import autodiff as ad
 from podfcr import evaluation, losses, training
 from podfcr.cli import main as cli_main
-from podfcr.config import ConfigError, RunConfig, load_config, save_config
+from podfcr.config import (ConfigError, ModelConfig, RunConfig, field_types, load_config,
+                           save_config, write_key_values)
 from podfcr.experiments import INPUT_VARIANTS, MODULE_VARIANTS
 from podfcr.model import CloudRemovalNet
 from podfcr.nn import Conv2d, StateDictError
@@ -67,15 +69,56 @@ class TestRunConfig:
         path.write_text("# a comment\n\nseed = 4  # trailing\n")
         assert load_config(path).seed == 4
 
-    def test_sar_none_implies_single_stream(self):
-        cfg = RunConfig(sar_input="none")
-        assert cfg.no_polsar
-        assert RunConfig(no_polsar=True).sar_input == "none"
+    @pytest.mark.parametrize("sar_input", ["pfsar", "bcfsar", "both", "none"])
+    def test_radar_stem_width_matches_batch(self, tiny_data, sar_input):
+        cfg = tiny_config(tiny_data, sar_input=sar_input)
+        net = CloudRemovalNet(cfg.model_config(), seed=0)
+        sample = load_dataset(cfg.data_dir).train[0]
+        sar = make_batch([sample], cfg.sar_input)[3]
+        if sar_input == "none":
+            assert sar is None
+            assert not any(name.startswith(("sar_", "mmcf", "mmrf", "fus_"))
+                           for name, _ in net.named_parameters())
+            return
+        assert net.sar_stem.weight.shape[1] == sar.shape[1]
+        assert sar.shape[1] == {"pfsar": 9, "bcfsar": 3, "both": 12}[sar_input]
+        if sar_input == "both":
+            assert np.array_equal(sar.data[0, :9], sample.pfsar)
+            assert np.array_equal(sar.data[0, 9:], sample.bcfsar)
 
-    def test_sar_channel_counts(self):
-        assert RunConfig(sar_input="pfsar").sar_channels == 9
-        assert RunConfig(sar_input="bcfsar").sar_channels == 3
-        assert RunConfig(sar_input="both").sar_channels == 12
+    def test_run_config_extends_model_config(self):
+        assert not RunConfig.__annotations__.keys() & field_types(ModelConfig).keys()
+        assert len(field_types(ModelConfig)) == 9 and len(field_types(RunConfig)) == 23
+        assert type(RunConfig(patch=16, no_gc=True).model_config()) is ModelConfig
+
+    def test_readme_config_table_matches_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
+        first_cells = [line.split("|")[1] for line in section.splitlines()
+                       if line.startswith("| `")]
+        keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(field_types(RunConfig))
+
+    def test_malformed_number_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("patch = 16\nseed = abc\n")
+        assert cli_main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error:config: {path}:2: seed:")
+
+    @pytest.mark.parametrize("key,value", [("patch", 10), ("base_channels", 0), ("epochs", 0),
+                                           ("max_steps", -1)])
+    def test_invalid_value_is_config_error(self, tiny_data, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "run.cfg"
+        write_key_values(cfg_path, {"patch": 16, "base_channels": 4, "epochs": 1,
+                                    "data_dir": tiny_data / "data",
+                                    "checkpoint_dir": tmp_path / "ckpt"} | {key: value})
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:config:") and key in captured.err
+        assert "checkpoint written" not in captured.out
+        assert not (tmp_path / "ckpt").exists()
 
 
 class TestTraining:
@@ -249,7 +292,6 @@ class TestEvaluation:
         b = evaluation.evaluate(cfg, net)
         assert a == b
 
-
 class TestCli:
     def test_gen_data_deterministic(self, tmp_path, capsys):
         assert cli_main(["gen-data", "--seed", "3", "--count", "5", "--patch", "16",
@@ -346,7 +388,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:missing-checkpoint:")
 
     @pytest.mark.parametrize("damage", ["manifest_cut_in_adam", "tensor_truncated",
-                                        "meta_unknown_key", "meta_cut"])
+                                        "meta_unknown_key", "meta_cut", "meta_bad_sar_input"])
     def test_damaged_checkpoint_is_checkpoint_error(self, tiny_data, tmp_path, capsys, damage):
         cfg = tiny_config(tiny_data, epochs=1)
         cfg_path = tmp_path / "run.cfg"
@@ -363,14 +405,19 @@ class TestCli:
         elif damage == "meta_unknown_key":
             with open(ckpt / "meta.txt", "a") as meta:
                 meta.write("bogus = 1\n")
+        elif damage == "meta_bad_sar_input":  # parses, but no ModelConfig accepts it
+            meta = (ckpt / "meta.txt").read_text()
+            (ckpt / "meta.txt").write_text(meta.replace("sar_input = pfsar", "sar_input = xyz"))
         else:
             lines = (ckpt / "meta.txt").read_text().splitlines(keepends=True)
             (ckpt / "meta.txt").write_text("".join(lines[:2]))
-        capsys.readouterr()
-        code = cli_main(["train", "--config", str(cfg_path), "--resume"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error:checkpoint:")
+        commands = [["train", "--config", str(cfg_path), "--resume"]]
+        if damage != "manifest_cut_in_adam":  # eval reads no Adam moments
+            commands.append(["eval", "--config", str(cfg_path)])
+        for command in commands:
+            capsys.readouterr()
+            assert cli_main(command) == 1
+            assert capsys.readouterr().err.startswith("error:checkpoint:")
 
     def test_infer_without_radar_checkpoint(self, tiny_data, tmp_path, capsys):
         cfg = tiny_config(tiny_data, epochs=1, sar_input="none",
@@ -397,6 +444,22 @@ class TestCli:
         assert code == 1
         assert captured.err.startswith("error:checkpoint:")
         assert "unexpected" in captured.err
+
+    @pytest.mark.parametrize("key,value", [("scru_literal", True), ("seed", 7)])
+    def test_resume_with_other_config_is_checkpoint_error(self, tiny_data, tmp_path, capsys,
+                                                          key, value):
+        cfg_path = tmp_path / "run.cfg"
+        save_config(tiny_config(tiny_data, epochs=1), cfg_path)
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        meta = (tmp_path / "ckpt" / "meta.txt").read_text()
+        save_config(tiny_config(tiny_data, epochs=2, **{key: value}), cfg_path)
+        capsys.readouterr()
+        code = cli_main(["train", "--config", str(cfg_path), "--resume"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:checkpoint:")
+        assert f"{key} = " in captured.err
+        assert (tmp_path / "ckpt" / "meta.txt").read_text() == meta  # no epoch trained
 
     def test_infer_bad_tensorfile_category(self, tmp_path, tiny_data, capsys):
         cfg = tiny_config(tiny_data, epochs=1)
