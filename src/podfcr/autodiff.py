@@ -618,9 +618,28 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     return add(mul(g4, xhat), b4)
 
 
-def first_nonfinite_op(root: Tensor) -> str | None:
-    """Name of the earliest op (forward order) whose output is non-finite."""
-    for node in _topo(root):
-        if not np.all(np.isfinite(node.data)):
-            return "leaf (parameter or input)" if node._op == "leaf" else node._op
-    return None
+def first_nonfinite_op(root: Tensor, named_parameters=()) -> str | None:
+    """Name of the earliest op (forward order) whose output is non-finite.
+
+    Given the ``(name, parameter)`` pairs of a module, the name also gives the
+    parameter nearest to that op upstream on the tape, as in
+    ``"sar_rb3.filters.0.fn_channel.alpha via div"``, or ``"leaf <name>"`` when
+    that parameter itself is non-finite.
+    """
+    node = next((t for t in _topo(root) if not np.all(np.isfinite(t.data))), None)
+    if node is None:
+        return None
+    names = {id(p): name for name, p in named_parameters}
+    level, seen = [node], {id(node)}
+    while level:  # breadth first, so the first named leaf met is the nearest
+        for t in level:
+            if id(t) in names:
+                return f"leaf {names[id(t)]}" if t is node else f"{names[id(t)]} via {node._op}"
+        upstream = []
+        for t in level:
+            for p in t._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    upstream.append(p)
+        level = upstream
+    return "leaf (parameter or input)" if node._op == "leaf" else node._op

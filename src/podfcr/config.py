@@ -1,5 +1,5 @@
 """The config schema: ``ModelConfig`` holds the fields that fix the network
-(and that a checkpoint's ``meta.txt`` stores), ``RunConfig`` extends it with
+(and that a checkpoint's header stores), ``RunConfig`` extends it with
 the training, loss and path fields. Each key is declared once, here.
 
 Defaults follow the training recipe (Adam with beta1=0.5, beta2=0.999,
@@ -23,7 +23,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ModelConfig:
-    """The fields that fix the network; checkpoints store them in ``meta.txt``."""
+    """The fields that fix the network; checkpoints store them in their header."""
 
     base_channels: int = 8          # 64 at full scale, 8 at desk scale
     patch: int = 32                 # 256 at full scale
@@ -94,7 +94,7 @@ class RunConfig(ModelConfig):
 
 
 def field_types(cls) -> dict[str, str]:
-    """Field name -> type name of a dataclass, the schema ``read_key_values`` takes."""
+    """Field name -> type name of a dataclass, the schema ``parse_key_values`` takes."""
     return {f.name: f.type for f in fields(cls)}
 
 
@@ -104,36 +104,37 @@ _BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
 _PARSERS = {"bool": lambda raw: _BOOLS[raw.lower()], "int": int, "float": float, "str": str}
 
 
-def read_key_values(path, types: dict[str, str]) -> dict:
+def parse_key_values(text: str, types: dict[str, str], source) -> dict:
     """Parse ``key = value`` lines into typed values; keys outside ``types``,
-    repeated keys and values that do not parse as their type are errors."""
+    repeated keys and values that do not parse as their type are errors,
+    reported as ``source:line``."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in types:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = _PARSERS[types[key]](raw)
         except (KeyError, ValueError):
             raise ConfigError(
-                f"{path}:{lineno}: {key}: expected {types[key]}, got {raw!r}") from None
+                f"{source}:{lineno}: {key}: expected {types[key]}, got {raw!r}") from None
     return values
 
 
-def write_key_values(path, values: dict) -> None:
-    Path(path).write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+def format_key_values(values: dict) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
 def load_config(path) -> RunConfig:
-    return RunConfig(**read_key_values(path, _FIELDS))
+    return RunConfig(**parse_key_values(Path(path).read_text(), _FIELDS, path))
 
 
 def save_config(config: RunConfig, path) -> None:
-    write_key_values(path, {name: getattr(config, name) for name in _FIELDS})
+    Path(path).write_text(format_key_values({name: getattr(config, name) for name in _FIELDS}))

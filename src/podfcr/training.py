@@ -1,16 +1,34 @@
 """Training loop with resumable, bit-exact checkpoints.
 
-A checkpoint is a directory of tensor containers (one per named parameter,
-batch-norm buffer, and Adam moment) plus a manifest mapping name -> shape
-and a meta file with the epoch/step counters, the seed and every
-``ModelConfig`` field. The per-epoch sample order is derived statelessly
-from (seed, epoch) and the step count fixes the epoch and batch to resume
-at, so a resumed run replays exactly the order an uninterrupted run would
-have used, also after a stop partway through an epoch.
+A checkpoint is one file, ``<checkpoint_dir>/checkpoint.ptc``:
+
+    # podfcr checkpoint, format 1       magic line
+    epoch = 2                           meta (``META_TYPES``), ``key = value`` lines:
+    ...                                 counters, seed, batch_size, ModelConfig fields
+    (blank line)
+    param.out_conv.bias<TAB>offset<TAB>crc
+    ...                                 index: one line per tensor, its record's
+                                        offset from the first record (12 digits)
+                                        and the CRC-32 of the record (8 hex digits)
+    end<TAB>crc                         CRC-32 of every header byte before this line
+    records                             one ``tensorfile`` record per index line, in
+                                        index order: parameters, batch-norm
+                                        buffers, Adam moments
+
+A save writes ``checkpoint.ptc.tmp`` and moves it into place with
+``os.replace``, so a crash or kill during a save leaves the previous checkpoint
+whole. A parameter-only load reads the header and the parameter and buffer
+records, never the Adam moments. The per-epoch sample order is derived
+statelessly from (seed, epoch) and the step count fixes the epoch and batch to
+resume at (under the stored ``batch_size``), so a resumed run replays exactly
+the order an uninterrupted run would have used, also after a stop partway
+through an epoch.
 """
 
 from __future__ import annotations
 
+import os
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,15 +36,18 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses, metrics
-from .config import (ConfigError, ModelConfig, RunConfig, field_types, read_key_values,
-                     write_key_values)
+from .config import (ConfigError, ModelConfig, RunConfig, field_types, format_key_values,
+                     parse_key_values)
 from .model import CloudRemovalNet
 from .optim import Adam
 from .synthetic import SAR_INPUT_ROLES, SamplePair, load_sample, read_manifest, seed_for
 from .tensorfile import TensorFileError, read_tensor, write_tensor
 
 
-META_TYPES = {"epoch": "int", "step": "int", "seed": "int"} | field_types(ModelConfig)
+META_TYPES = {"epoch": "int", "step": "int", "seed": "int", "batch_size": "int"} | \
+    field_types(ModelConfig)
+CHECKPOINT_FILE = "checkpoint.ptc"
+_MAGIC_LINE = b"# podfcr checkpoint, format 1\n"
 
 
 class TrainingDiverged(RuntimeError):
@@ -34,11 +55,11 @@ class TrainingDiverged(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint whose meta file or stored tensors cannot be read back."""
+    """A checkpoint whose header or stored tensors cannot be read back."""
 
 
 class MissingCheckpoint(FileNotFoundError):
-    """No checkpoint manifest or meta file where one was expected."""
+    """No checkpoint file where one was expected."""
 
 
 @dataclass
@@ -69,40 +90,82 @@ def make_batch(samples: list[SamplePair], sar_input: str):
 
 # -- checkpoint I/O ---------------------------------------------------------
 
+class _CrcWriter:
+    """Binary file proxy that keeps the CRC-32 of the bytes written through it."""
+
+    def __init__(self, file):
+        self.file, self.crc = file, 0
+
+    def write(self, data):
+        self.crc = zlib.crc32(data, self.crc)
+        return self.file.write(data)
+
+
+def _header(meta: dict, index: list[tuple[str, int, int]]) -> bytes:
+    """Magic line, meta, index and the closing CRC line; its length depends
+    only on the meta and the tensor names."""
+    text = _MAGIC_LINE + (format_key_values(meta) + "\n" + "".join(
+        f"{name}\t{offset:012d}\t{crc:08x}\n" for name, offset, crc in index)).encode()
+    return text + b"end\t%08x\n" % zlib.crc32(text)
+
+
 def save_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam,
                     epoch: int, config: RunConfig) -> None:
     ckpt_dir = Path(ckpt_dir)
-    tensors_dir = ckpt_dir / "tensors"
-    tensors_dir.mkdir(parents=True, exist_ok=True)
-    entries: list[tuple[str, np.ndarray]] = []
-    entries += [(f"param.{name}", p.data) for name, p in net.named_parameters()]
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    entries = [(f"param.{name}", p.data) for name, p in net.named_parameters()]
     entries += [(f"buffer.{name}", b) for name, b in net.named_buffers()]
-    for key, value in optimizer.state_dict().items():
-        if key == "step":
-            continue
-        entries.append((f"adam.{key}", value))
-    manifest_lines = []
-    for name, arr in entries:
-        write_tensor(tensors_dir / f"{name}.ptf", arr)
-        shape = "x".join(str(s) for s in arr.shape) if arr.ndim else "scalar"
-        manifest_lines.append(f"{name}\t{shape}")
-    (ckpt_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
-    counters = {"epoch": epoch, "step": optimizer.step_count, "seed": config.seed}
-    write_key_values(ckpt_dir / "meta.txt", counters | asdict(net.config))
+    entries += [(f"adam.{key}", value) for key, value in optimizer.state_dict().items()
+                if key != "step"]
+    meta = {"epoch": epoch, "step": optimizer.step_count, "seed": config.seed,
+            "batch_size": config.batch_size} | asdict(net.config)
+    # the records go after a header of known length, which is written last
+    # because it holds their CRCs
+    data_start = len(_header(meta, [(name, 0, 0) for name, _ in entries]))
+    tmp = ckpt_dir / f"{CHECKPOINT_FILE}.tmp"
+    index = []
+    with open(tmp, "wb") as file:
+        file.seek(data_start)
+        out = _CrcWriter(file)
+        for name, arr in entries:
+            offset, out.crc = file.tell() - data_start, 0
+            write_tensor(out, arr)
+            index.append((name, offset, out.crc))
+        file.seek(0)
+        file.write(_header(meta, index))
+        file.flush()
+        os.fsync(file.fileno())
+    os.replace(tmp, ckpt_dir / CHECKPOINT_FILE)
 
 
-def _checkpoint_file(ckpt_dir, name: str) -> Path:
-    path = Path(ckpt_dir) / name
-    if not path.is_file():
-        raise MissingCheckpoint(f"no checkpoint in {ckpt_dir}: {path} does not exist")
-    return path
+def _checkpoint_path(ckpt_dir) -> Path:
+    ckpt_dir = Path(ckpt_dir)
+    path = ckpt_dir / CHECKPOINT_FILE
+    if path.is_file():
+        return path
+    if (ckpt_dir / "manifest.txt").is_file():
+        raise CheckpointError(f"{ckpt_dir} holds a checkpoint in the directory layout of "
+                              "earlier versions (manifest.txt, tensors/), which this version "
+                              f"no longer reads; train it again to get {CHECKPOINT_FILE}")
+    raise MissingCheckpoint(f"no checkpoint in {ckpt_dir}: {path} does not exist")
 
 
-def read_meta(ckpt_dir) -> dict:
-    path = _checkpoint_file(ckpt_dir, "meta.txt")
+def _read_header(file, path) -> tuple[dict, list[tuple[str, int, int]]]:
+    """Meta and index of an open checkpoint; leaves ``file`` at the first record."""
+    if file.readline() != _MAGIC_LINE:
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic line)")
+    lines = [_MAGIC_LINE]
+    while not (line := file.readline()).startswith(b"end\t"):
+        if not line:
+            raise CheckpointError(f"{path}: header truncated (no end line)")
+        lines.append(line)
+    text = b"".join(lines)
+    if line != b"end\t%08x\n" % zlib.crc32(text):
+        raise CheckpointError(f"{path}: header CRC mismatch")
+    meta_text, _, index_text = text.decode(errors="replace").partition("\n\n")
     try:
-        meta = read_key_values(path, META_TYPES)
-    except ValueError as exc:  # ConfigError, or a malformed number
+        meta = parse_key_values(meta_text, META_TYPES, path)
+    except ConfigError as exc:
         raise CheckpointError(str(exc)) from exc
     missing = sorted(META_TYPES.keys() - meta.keys())
     if missing:
@@ -111,7 +174,20 @@ def read_meta(ckpt_dir) -> dict:
         model_config_from_meta(meta)
     except ConfigError as exc:  # parses, but holds a value ModelConfig rejects
         raise CheckpointError(f"{path}: {exc}") from exc
-    return meta
+    index = []
+    for line in index_text.splitlines():
+        try:
+            name, offset, crc = line.split("\t")
+            index.append((name, int(offset), int(crc, 16)))
+        except ValueError:
+            raise CheckpointError(f"{path}: bad index line {line!r}") from None
+    return meta, index
+
+
+def read_meta(ckpt_dir) -> dict:
+    path = _checkpoint_path(ckpt_dir)
+    with open(path, "rb") as file:
+        return _read_header(file, path)[0]
 
 
 def model_config_from_meta(meta: dict) -> ModelConfig:
@@ -119,10 +195,12 @@ def model_config_from_meta(meta: dict) -> ModelConfig:
 
 
 def check_resume_config(meta: dict, config: RunConfig) -> None:
-    """Reject a resume whose seed or model fields differ from the checkpoint's
-    (``patch``, ``scru_literal`` and the seed change no tensor name or shape)."""
+    """Reject a resume whose seed, batch size or model fields differ from the
+    checkpoint's (``patch``, ``scru_literal``, the seed and the batch size change
+    no tensor name or shape; the step count fixes the resume position only under
+    the batch size it was counted with)."""
     differing = [f"{key} = {meta[key]} (run config: {getattr(config, key)})"
-                 for key in ("seed", *field_types(ModelConfig))
+                 for key in ("seed", "batch_size", *field_types(ModelConfig))
                  if meta[key] != getattr(config, key)]
     if differing:
         raise CheckpointError(f"{config.checkpoint_dir} was written with another config: "
@@ -132,18 +210,32 @@ def check_resume_config(meta: dict, config: RunConfig) -> None:
 def load_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam | None = None) -> int:
     """Restore parameters and buffers, and the optimizer state when given
     (the Adam moments are read only then); returns the epoch."""
-    ckpt_dir = Path(ckpt_dir)
+    path = _checkpoint_path(ckpt_dir)
     kinds = ("param.", "buffer.") if optimizer is None else ("param.", "buffer.", "adam.")
-    names = [line.split("\t")[0] for line in
-             _checkpoint_file(ckpt_dir, "manifest.txt").read_text().splitlines()
-             if line.startswith(kinds)]
-    try:
-        stored = {name: read_tensor(ckpt_dir / "tensors" / f"{name}.ptf") for name in names}
-    except (TensorFileError, FileNotFoundError) as exc:
-        raise CheckpointError(str(exc)) from exc
+    stored = {}
+    with open(path, "rb") as file:
+        meta, index = _read_header(file, path)
+        data_start = file.tell()
+        size = os.fstat(file.fileno()).st_size - data_start
+        # records lie back to back, so each one ends where the next begins
+        ends = [offset for _, offset, _ in index[1:]] + [size]
+        for (name, offset, crc), end in zip(index, ends):
+            if not name.startswith(kinds):
+                continue
+            if not 0 <= offset <= end:
+                raise CheckpointError(f"{path}: {name}: index offsets out of order")
+            if end > size:
+                raise CheckpointError(f"{path}: {name}: the file is truncated inside this record")
+            file.seek(data_start + offset)
+            record = file.read(end - offset)
+            if zlib.crc32(record) != crc:
+                raise CheckpointError(f"{path}: {name}: CRC mismatch, the record is damaged")
+            try:
+                stored[name] = read_tensor(record)
+            except TensorFileError as exc:
+                raise CheckpointError(f"{path}: {name}: {exc}") from exc
     net.load_state_dict({name.split(".", 1)[1]: arr for name, arr in stored.items()
                          if not name.startswith("adam.")})
-    meta = read_meta(ckpt_dir)
     if optimizer is not None:
         optimizer.load_state_dict({"step": meta["step"]} |
                                   {name[len("adam."):]: arr for name, arr in stored.items()
@@ -171,9 +263,9 @@ def train_step(net: CloudRemovalNet, optimizer: Adam, batch, config: RunConfig
         pred, clean, mask, config.lambda_local, config.lambda_ssim)
     value = total.item()
     if not np.isfinite(value):
-        culprit = ad.first_nonfinite_op(total) or "loss"
+        culprit = ad.first_nonfinite_op(total, net.named_parameters()) or "loss"
         raise TrainingDiverged(f"non-finite loss at step {optimizer.step_count + 1}; "
-                               f"first non-finite tensor from op '{culprit}'")
+                               f"first non-finite tensor: {culprit}")
     optimizer.zero_grad()
     total.backward()
     optimizer.step()

@@ -1,4 +1,5 @@
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -7,17 +8,17 @@ import pytest
 from podfcr import autodiff as ad
 from podfcr import evaluation, losses, training
 from podfcr.cli import main as cli_main
-from podfcr.config import (ConfigError, ModelConfig, RunConfig, field_types, load_config,
-                           save_config, write_key_values)
+from podfcr.config import (ConfigError, ModelConfig, RunConfig, field_types,
+                           format_key_values, load_config, save_config)
 from podfcr.experiments import INPUT_VARIANTS, MODULE_VARIANTS
 from podfcr.model import CloudRemovalNet
 from podfcr.nn import Conv2d, StateDictError
 from podfcr.optim import Adam
 from podfcr.synthetic import CLASS_LABELS, COVERAGE_BINS, build_dataset
-from podfcr.tensorfile import read_tensor
-from podfcr.training import (TrainingDiverged, build_net_and_optimizer, load_checkpoint,
-                             load_dataset, make_batch, model_config_from_meta, read_meta,
-                             save_checkpoint, train)
+from podfcr.tensorfile import read_tensor, write_tensor
+from podfcr.training import (CHECKPOINT_FILE, CheckpointError, TrainingDiverged,
+                             build_net_and_optimizer, load_checkpoint, load_dataset, make_batch,
+                             model_config_from_meta, read_meta, save_checkpoint, train)
 
 
 def tiny_config(tmp_path, **overrides) -> RunConfig:
@@ -33,6 +34,23 @@ def tiny_config(tmp_path, **overrides) -> RunConfig:
 def tiny_data(tmp_path):
     build_dataset(0, 8, 16, tmp_path / "data")
     return tmp_path
+
+
+def edit_header(path, edit):
+    """Apply ``edit`` to a checkpoint's header text and stamp its CRC again,
+    so that the damage reaches the meta and index checks."""
+    blob = path.read_bytes()
+    end = blob.index(b"\nend\t") + 1
+    text = edit(blob[:end].decode()).encode()
+    path.write_bytes(text + b"end\t%08x\n" % zlib.crc32(text) + blob[blob.index(b"\n", end) + 1:])
+
+
+def record_start(path, name) -> int:
+    """File offset of the named tensor's record in a checkpoint."""
+    blob = path.read_bytes()
+    data_start = blob.index(b"\n", blob.index(b"\nend\t") + 1) + 1
+    offset = re.search(rb"^%s\t(\d+)\t" % re.escape(name.encode()), blob[:data_start], re.M)
+    return data_start + int(offset.group(1))
 
 
 class TestRunConfig:
@@ -111,9 +129,10 @@ class TestRunConfig:
                                            ("max_steps", -1)])
     def test_invalid_value_is_config_error(self, tiny_data, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "run.cfg"
-        write_key_values(cfg_path, {"patch": 16, "base_channels": 4, "epochs": 1,
-                                    "data_dir": tiny_data / "data",
-                                    "checkpoint_dir": tmp_path / "ckpt"} | {key: value})
+        cfg_path.write_text(format_key_values({"patch": 16, "base_channels": 4, "epochs": 1,
+                                               "data_dir": tiny_data / "data",
+                                               "checkpoint_dir": tmp_path / "ckpt"}
+                                              | {key: value}))
         assert cli_main(["train", "--config", str(cfg_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:config:") and key in captured.err
@@ -178,17 +197,56 @@ class TestTraining:
 
     def test_load_without_optimizer_reads_only_net_state(self, tiny_data, monkeypatch):
         cfg = tiny_config(tiny_data, epochs=1)
-        train(cfg)
+        trained = train(cfg)
+        # the Adam records are the last ones: cut them all off
+        _, optimizer = build_net_and_optimizer(cfg)
+        adam_bytes = sum(8 + 4 * v.ndim + v.nbytes
+                         for k, v in optimizer.state_dict().items() if k != "step")
+        path = Path(cfg.checkpoint_dir) / CHECKPOINT_FILE
+        path.write_bytes(path.read_bytes()[:-adam_bytes])
         reads = []
 
-        def counting_read(path):
-            reads.append(path)
-            return read_tensor(path)
+        def counting_read(source):
+            reads.append(source)
+            return read_tensor(source)
 
         monkeypatch.setattr(training, "read_tensor", counting_read)
         net = CloudRemovalNet(cfg.model_config(), seed=1)
         load_checkpoint(cfg.checkpoint_dir, net)
         assert len(reads) == len(list(net.named_parameters())) + len(list(net.named_buffers()))
+        for (name, a), (_, b) in zip(trained.named_parameters(), net.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cfg.checkpoint_dir, net, optimizer)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tiny_data, tmp_path, monkeypatch):
+        straight = train(tiny_config(tiny_data, checkpoint_dir=str(tmp_path / "straight")))
+        train(tiny_config(tiny_data, epochs=1, checkpoint_dir=str(tmp_path / "epoch1")))
+        cfg = tiny_config(tiny_data)
+        net, _ = build_net_and_optimizer(cfg)
+        per_save = 3 * len(list(net.named_parameters())) + len(list(net.named_buffers()))
+        writes = []
+
+        def failing_write(dest, array):
+            writes.append(array)
+            if len(writes) == per_save + per_save // 2:  # partway through the epoch-2 save
+                raise OSError("disk full")
+            write_tensor(dest, array)
+
+        monkeypatch.setattr(training, "write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            train(cfg)
+        monkeypatch.undo()
+        ckpt = Path(cfg.checkpoint_dir)
+        assert (ckpt / f"{CHECKPOINT_FILE}.tmp").is_file()  # the partial save, never loaded
+        assert (ckpt / CHECKPOINT_FILE).read_bytes() == \
+            (tmp_path / "epoch1" / CHECKPOINT_FILE).read_bytes()
+        assert load_checkpoint(ckpt, CloudRemovalNet(cfg.model_config(), seed=1)) == 1
+        resumed = train(cfg, resume=True)
+        assert (ckpt / CHECKPOINT_FILE).read_bytes() == \
+            (tmp_path / "straight" / CHECKPOINT_FILE).read_bytes()
+        for (name, a), (_, b) in zip(straight.named_parameters(), resumed.named_parameters()):
+            assert np.array_equal(a.data, b.data), name
 
     def test_adam_load_state_dict_rejects_bad_moments_before_changing(self, rng):
         optimizer = Adam(list(Conv2d(rng, 2, 3).named_parameters()))
@@ -231,6 +289,17 @@ class TestTraining:
         bad = ad.div(x, ad.Tensor(np.array([1.0, 0.0])))
         loss = ad.tsum(ad.mul(bad, bad))
         assert ad.first_nonfinite_op(loss) == "div"
+
+    @pytest.mark.parametrize("value,culprit", [(np.nan, "leaf {}"), (1e308, "{} via mul")])
+    def test_divergence_names_the_nearest_parameter(self, tiny_data, value, culprit):
+        cfg = tiny_config(tiny_data, epochs=1)
+        net, optimizer = build_net_and_optimizer(cfg)
+        name = "sar_rb3.filters.0.fn_channel.alpha"
+        dict(net.named_parameters())[name].data[...] = value
+        batch = make_batch(load_dataset(cfg.data_dir).train[:2], cfg.sar_input)
+        with pytest.raises(TrainingDiverged) as info:
+            training.train_step(net, optimizer, batch, cfg)
+        assert str(info.value).endswith(f"first non-finite tensor: {culprit.format(name)}")
 
     def test_nan_abort_through_train_loop(self, tiny_data, monkeypatch):
         cfg = tiny_config(tiny_data, epochs=1, learning_rate=1e10, grad_clip=0.0)
@@ -387,37 +456,65 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:missing-checkpoint:")
 
-    @pytest.mark.parametrize("damage", ["manifest_cut_in_adam", "tensor_truncated",
-                                        "meta_unknown_key", "meta_cut", "meta_bad_sar_input"])
+    # damage -> a fragment of the error it must raise
+    DAMAGE = {"index_cut_in_adam": "adam.v.", "tensor_truncated": "truncated",
+              "payload_byte_flipped": "CRC mismatch", "header_byte_flipped": "header CRC",
+              "meta_unknown_key": "unknown key 'bogus'", "meta_cut": "missing keys",
+              "meta_bad_sar_input": "sar_input"}
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
     def test_damaged_checkpoint_is_checkpoint_error(self, tiny_data, tmp_path, capsys, damage):
         cfg = tiny_config(tiny_data, epochs=1)
         cfg_path = tmp_path / "run.cfg"
         save_config(cfg, cfg_path)
         assert cli_main(["train", "--config", str(cfg_path)]) == 0
-        ckpt = Path(cfg.checkpoint_dir)
-        if damage == "manifest_cut_in_adam":
-            lines = (ckpt / "manifest.txt").read_text().splitlines()
-            cut = next(i for i, line in enumerate(lines) if line.startswith("adam.v.")) + 3
-            (ckpt / "manifest.txt").write_text("\n".join(lines[:cut]) + "\n")
+        path = Path(cfg.checkpoint_dir) / CHECKPOINT_FILE
+        blob = bytearray(path.read_bytes())
+        bias = record_start(path, "param.out_conv.bias")
+        if damage == "index_cut_in_adam":
+            def cut(text):
+                lines = text.splitlines(keepends=True)
+                return "".join(lines[:next(i for i, line in enumerate(lines)
+                                            if line.startswith("adam.v.")) + 3])
+            edit_header(path, cut)
         elif damage == "tensor_truncated":
-            path = ckpt / "tensors" / "param.out_conv.bias.ptf"
-            path.write_bytes(path.read_bytes()[:-8])
+            path.write_bytes(blob[:bias + 8])
+        elif damage == "payload_byte_flipped":
+            blob[bias + 12 + 3] ^= 0x01  # inside the rank-1 record's payload
+            path.write_bytes(blob)
+        elif damage == "header_byte_flipped":  # step = 3 -> step = 2, CRC not stamped again
+            path.write_bytes(blob.replace(b"step = 3\n", b"step = 2\n", 1))
         elif damage == "meta_unknown_key":
-            with open(ckpt / "meta.txt", "a") as meta:
-                meta.write("bogus = 1\n")
+            edit_header(path, lambda text: text.replace("\n\n", "\nbogus = 1\n\n", 1))
         elif damage == "meta_bad_sar_input":  # parses, but no ModelConfig accepts it
-            meta = (ckpt / "meta.txt").read_text()
-            (ckpt / "meta.txt").write_text(meta.replace("sar_input = pfsar", "sar_input = xyz"))
-        else:
-            lines = (ckpt / "meta.txt").read_text().splitlines(keepends=True)
-            (ckpt / "meta.txt").write_text("".join(lines[:2]))
+            edit_header(path, lambda text: text.replace("sar_input = pfsar", "sar_input = xyz"))
+        else:  # the magic line and two meta keys stay
+            def cut(text):
+                meta, index = text.split("\n\n", 1)
+                return "".join(meta.splitlines(keepends=True)[:3]) + "\n" + index
+            edit_header(path, cut)
         commands = [["train", "--config", str(cfg_path), "--resume"]]
-        if damage != "manifest_cut_in_adam":  # eval reads no Adam moments
+        if damage != "index_cut_in_adam":  # eval reads no Adam moments
             commands.append(["eval", "--config", str(cfg_path)])
         for command in commands:
             capsys.readouterr()
             assert cli_main(command) == 1
-            assert capsys.readouterr().err.startswith("error:checkpoint:")
+            err = capsys.readouterr().err
+            assert err.startswith("error:checkpoint:") and self.DAMAGE[damage] in err
+
+    def test_old_directory_layout_is_checkpoint_error(self, tiny_data, tmp_path, capsys):
+        cfg = tiny_config(tiny_data, epochs=1)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        ckpt = Path(cfg.checkpoint_dir)
+        (ckpt / "tensors").mkdir(parents=True)
+        write_tensor(ckpt / "tensors" / "param.out_conv.bias.ptf", np.zeros(4))
+        (ckpt / "manifest.txt").write_text("param.out_conv.bias\t4\n")
+        for command in (["eval", "--config", str(cfg_path)],
+                        ["train", "--config", str(cfg_path), "--resume"]):
+            assert cli_main(command) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:checkpoint:") and "earlier versions" in err
 
     def test_infer_without_radar_checkpoint(self, tiny_data, tmp_path, capsys):
         cfg = tiny_config(tiny_data, epochs=1, sar_input="none",
@@ -445,13 +542,14 @@ class TestCli:
         assert captured.err.startswith("error:checkpoint:")
         assert "unexpected" in captured.err
 
-    @pytest.mark.parametrize("key,value", [("scru_literal", True), ("seed", 7)])
+    @pytest.mark.parametrize("key,value", [("scru_literal", True), ("seed", 7),
+                                           ("batch_size", 1)])
     def test_resume_with_other_config_is_checkpoint_error(self, tiny_data, tmp_path, capsys,
                                                           key, value):
         cfg_path = tmp_path / "run.cfg"
         save_config(tiny_config(tiny_data, epochs=1), cfg_path)
         assert cli_main(["train", "--config", str(cfg_path)]) == 0
-        meta = (tmp_path / "ckpt" / "meta.txt").read_text()
+        saved = (tmp_path / "ckpt" / CHECKPOINT_FILE).read_bytes()
         save_config(tiny_config(tiny_data, epochs=2, **{key: value}), cfg_path)
         capsys.readouterr()
         code = cli_main(["train", "--config", str(cfg_path), "--resume"])
@@ -459,7 +557,7 @@ class TestCli:
         assert code == 1
         assert captured.err.startswith("error:checkpoint:")
         assert f"{key} = " in captured.err
-        assert (tmp_path / "ckpt" / "meta.txt").read_text() == meta  # no epoch trained
+        assert (tmp_path / "ckpt" / CHECKPOINT_FILE).read_bytes() == saved  # no epoch trained
 
     def test_infer_bad_tensorfile_category(self, tmp_path, tiny_data, capsys):
         cfg = tiny_config(tiny_data, epochs=1)
