@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evaluation, experiments, gradcheck, synthetic, tensorfile
-from .config import ConfigError, load_config
+from .config import ConfigError, ModelConfig, load_config
 from .model import CloudRemovalNet
 from .nn import StateDictError
 from .training import (CheckpointError, MissingCheckpoint, TrainingDiverged, load_checkpoint,
@@ -31,6 +31,13 @@ class CliError(Exception):
 
 
 def cmd_gen_data(args) -> int:
+    if args.count < 2:
+        raise CliError("usage", f"--count must be at least 2, one train and one test sample; "
+                                f"got {args.count}")
+    try:
+        ModelConfig(patch=args.patch)
+    except ConfigError as exc:
+        raise CliError("usage", f"--patch: {exc}") from exc
     out = Path(args.out)
     n_train, n_test = synthetic.build_dataset(args.seed, args.count, args.patch, out)
     records = synthetic.read_manifest(out / "train.manifest")

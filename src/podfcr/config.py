@@ -137,4 +137,13 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path) -> None:
-    Path(path).write_text(format_key_values({name: getattr(config, name) for name in _FIELDS}))
+    """Write ``config`` as ``key = value`` lines. A value that would not read
+    back as written (one holding ``#``, a line break, or leading or trailing
+    spaces) is a ConfigError, and nothing is written."""
+    values = {name: getattr(config, name) for name in _FIELDS}
+    text = format_key_values(values)
+    read_back = parse_key_values(text, _FIELDS, path)
+    changed = [name for name, value in values.items() if str(read_back[name]) != str(value)]
+    if changed:
+        raise ConfigError(f"{path}: {', '.join(changed)} would not read back as saved")
+    Path(path).write_text(text)

@@ -19,7 +19,7 @@ from .config import RunConfig
 from .metrics import METRICS
 from .model import CloudRemovalNet
 from .synthetic import CLASS_LABELS, COVERAGE_BINS, SamplePair
-from .training import load_dataset, make_batch
+from .training import load_split, make_batch
 
 REPORT_HEADER = "\t".join(("# scope", "coverage_bin", "class", "count") + METRICS)
 
@@ -87,8 +87,7 @@ def parse_report(text: str) -> dict[tuple[str, str, str], dict]:
 
 
 def evaluate(config: RunConfig, net: CloudRemovalNet, report_path=None) -> str:
-    dataset = load_dataset(config.data_dir)
-    rows = evaluate_samples(net, dataset.test, config.sar_input)
+    rows = evaluate_samples(net, load_split(config.data_dir, "test"), config.sar_input)
     report = render_report(rows)
     target = Path(report_path if report_path is not None else config.report_path)
     target.parent.mkdir(parents=True, exist_ok=True)

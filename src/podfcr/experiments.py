@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import evaluation, metrics
 from .config import RunConfig
-from .training import train
+from .training import load_split, train
 
 MODULE_VARIANTS = (
     ("full", {}),
@@ -49,8 +49,7 @@ def run_ablation(config: RunConfig, log=print) -> dict[str, dict]:
         cfg = variant_config(config, name, overrides)
         log(f"[{name}] training for {cfg.epochs} epochs")
         net = train(cfg, log=lambda msg: log(f"[{name}] {msg}"))
-        rows = evaluation.evaluate_samples(
-            net, evaluation.load_dataset(cfg.data_dir).test, cfg.sar_input)
+        rows = evaluation.evaluate_samples(net, load_split(cfg.data_dir, "test"), cfg.sar_input)
         results[name] = metrics.aggregate(rows)
         log(f"[{name}] test psnr={results[name]['psnr']:.4f} ssim={results[name]['ssim']:.4f}")
     return results

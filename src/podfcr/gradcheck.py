@@ -78,6 +78,26 @@ def _randomize(module: nn.Module, rng, scale: float = 0.3) -> list[Tensor]:
     return params
 
 
+def _check(seed: int, fn, shapes, build=None):
+    """Check seeded by ``seed``: build the module ``build(rng)`` and randomize its
+    parameters when given, draw one input per shape, and compare gradients of
+    ``fn(*inputs)``, or ``fn(module, *inputs)`` with a module, over the inputs
+    and the parameters."""
+    def check() -> float:
+        rng = np.random.default_rng(seed)
+        module, params = (), []
+        if build is not None:
+            module = (build(rng),)
+            params = _randomize(module[0], rng)
+        inputs = [_rand(rng, *shape) for shape in shapes]
+        return gradcheck(lambda: fn(*module, *inputs), inputs + params)
+    return check
+
+
+def _call(module, *inputs):
+    return module(*inputs)
+
+
 def check_conv2d() -> float:
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -90,14 +110,6 @@ def check_conv2d() -> float:
     return worst
 
 
-def check_conv_transpose2d() -> float:
-    rng = np.random.default_rng(12)
-    x = _rand(rng, 1, 4, 4, 4)
-    w = _rand(rng, 4, 2, 4, 4)
-    b = _rand(rng, 2)
-    return gradcheck(lambda: ad.conv_transpose2d(x, w, b, stride=2, padding=1), [x, w, b])
-
-
 def check_matmul() -> float:
     rng = np.random.default_rng(13)
     a = _rand(rng, 5, 7)
@@ -106,12 +118,6 @@ def check_matmul() -> float:
     d = _rand(rng, 2, 6, 3)
     return max(gradcheck(lambda: ad.matmul(a, b), [a, b]),
                gradcheck(lambda: ad.matmul(c, d), [c, d]))
-
-
-def check_softmax() -> float:
-    rng = np.random.default_rng(14)
-    x = _rand(rng, 3, 6)
-    return gradcheck(lambda: ad.softmax(x, axis=-1), [x])
 
 
 def check_elementwise() -> float:
@@ -141,36 +147,6 @@ def check_batch_norm() -> float:
     return max(worst, gradcheck(lambda: bn(x, training=False), [x] + params))
 
 
-def check_gated_conv() -> float:
-    rng = np.random.default_rng(17)
-    x = _rand(rng, 1, 3, 5, 5)
-    wf = _rand(rng, 4, 3, 3, 3)
-    wg = _rand(rng, 4, 3, 3, 3)
-    bf = _rand(rng, 4)
-    bg = _rand(rng, 4)
-    return gradcheck(lambda: nn.gated_conv(x, wf, wg, bf, bg), [x, wf, wg, bf, bg])
-
-
-def check_filter_normalize() -> float:
-    rng = np.random.default_rng(21)
-    raw = _rand(rng, 2, 5, 3, 3)
-    alpha = _rand(rng, 5, 1, 1)
-    beta = _rand(rng, 5, 1, 1)
-    return gradcheck(lambda: nn.filter_normalize(raw, alpha, beta), [raw, alpha, beta])
-
-
-def _module_check(seed: int, build, shapes, pick=lambda out: out):
-    """Check for a block: build it from ``seed``, randomize its parameters,
-    draw one input per shape, and compare gradients of ``pick(block(*inputs))``."""
-    def check() -> float:
-        rng = np.random.default_rng(seed)
-        block = build(rng)
-        params = _randomize(block, rng)
-        inputs = [_rand(rng, *shape) for shape in shapes]
-        return gradcheck(lambda: pick(block(*inputs)), inputs + params)
-    return check
-
-
 def check_loss_total() -> float:
     rng = np.random.default_rng(27)
     pred = Tensor(rng.uniform(0.05, 0.95, (1, 3, 5, 5)), requires_grad=True)
@@ -182,22 +158,24 @@ def check_loss_total() -> float:
 
 OP_CHECKS = {
     "conv2d": check_conv2d,
-    "conv_transpose2d": check_conv_transpose2d,
+    "conv_transpose2d": _check(
+        12, lambda x, w, b: ad.conv_transpose2d(x, w, b, stride=2, padding=1),
+        [(1, 4, 4, 4), (4, 2, 4, 4), (2,)]),
     "matmul": check_matmul,
-    "softmax": check_softmax,
+    "softmax": _check(14, lambda x: ad.softmax(x, axis=-1), [(3, 6)]),
     "elementwise": check_elementwise,
     "batch_norm": check_batch_norm,
-    "gated_conv": check_gated_conv,
-    "rb_gc": _module_check(18, lambda rng: nn.GatedResidualBlock(rng, 4), [(1, 4, 6, 6)]),
-    "rb_df": _module_check(19, lambda rng: nn.DynamicFilterResidualBlock(rng, 4), [(1, 4, 5, 5)]),
-    "scdf": _module_check(20, lambda rng: nn.SCDF(rng, 4), [(1, 4, 5, 5)]),
-    "filter_normalize": check_filter_normalize,
-    "aspp": _module_check(22, lambda rng: nn.ASPP(rng, 4, rates=(2, 4, 6)), [(1, 4, 6, 6)]),
-    "mmcf": _module_check(23, lambda rng: fusion.MMCF(rng, 3), [(1, 3, 5, 5)] * 2,
-                          pick=lambda out: out[2]),
-    "scru": _module_check(24, lambda rng: fusion.SCRU(rng, 4), [(1, 4, 3, 3)]),
-    "mwru": _module_check(25, lambda rng: fusion.MWRU(rng, 4), [(1, 4, 3, 3)] * 3),
-    "mmrf": _module_check(26, lambda rng: fusion.MMRF(rng, 4), [(1, 4, 3, 3)] * 3),
+    "gated_conv": _check(17, nn.gated_conv, [(1, 3, 5, 5), (4, 3, 3, 3), (4, 3, 3, 3), (4,), (4,)]),
+    "rb_gc": _check(18, _call, [(1, 4, 6, 6)], lambda rng: nn.GatedResidualBlock(rng, 4)),
+    "rb_df": _check(19, _call, [(1, 4, 5, 5)], lambda rng: nn.DynamicFilterResidualBlock(rng, 4)),
+    "scdf": _check(20, _call, [(1, 4, 5, 5)], lambda rng: nn.SCDF(rng, 4)),
+    "filter_normalize": _check(21, nn.filter_normalize, [(2, 5, 3, 3), (5, 1, 1), (5, 1, 1)]),
+    "aspp": _check(22, _call, [(1, 4, 6, 6)], lambda rng: nn.ASPP(rng, 4, rates=(2, 4, 6))),
+    "mmcf": _check(23, lambda mmcf, a, b: mmcf(a, b)[2], [(1, 3, 5, 5)] * 2,
+                   lambda rng: fusion.MMCF(rng, 3)),
+    "scru": _check(24, _call, [(1, 4, 3, 3)], lambda rng: fusion.SCRU(rng, 4)),
+    "mwru": _check(25, _call, [(1, 4, 3, 3)] * 3, lambda rng: fusion.MWRU(rng, 4)),
+    "mmrf": _check(26, _call, [(1, 4, 3, 3)] * 3, lambda rng: fusion.MMRF(rng, 4)),
     "loss_total": check_loss_total,
 }
 

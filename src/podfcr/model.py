@@ -5,9 +5,11 @@ dynamic-filter residual blocks on the radar branch) interleaved with four
 cross-fusion blocks, a fusion branch that pools the per-scale fused maps to
 the deepest scale, attention refinement over the three deepest-scale
 branches, and an ASPP decoder with skip connections plus a long additive
-skip from the cloudy input to the output. Ablation flags are applied at
-build time and swap blocks for their plain counterparts. The network is
-built from a ``ModelConfig``, whose schema lives in ``config``.
+skip from the cloudy input to the output. Of the ablation flags,
+``no_mmrf`` swaps the refinement for a 1x1 conv and ``no_aspp`` drops the
+ASPP at build time, while ``no_gc``, ``no_scdf`` and ``no_mmcf`` are passed
+into the blocks, which branch on them each call. The network is built from
+a ``ModelConfig``, whose schema lives in ``config``.
 """
 
 from __future__ import annotations

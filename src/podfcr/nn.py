@@ -23,14 +23,9 @@ def act(x: Tensor) -> Tensor:
     return ad.leaky_relu(x, LEAKY_SLOPE)
 
 
-def kaiming_conv(rng: np.random.Generator, c_out: int, c_in: int, kh: int, kw: int) -> Tensor:
-    std = np.sqrt(2.0 / (c_in * kh * kw))
-    return Tensor(rng.normal(0.0, std, (c_out, c_in, kh, kw)), requires_grad=True)
-
-
-def kaiming_linear(rng: np.random.Generator, c_out: int, c_in: int) -> Tensor:
-    std = np.sqrt(2.0 / c_in)
-    return Tensor(rng.normal(0.0, std, (c_out, c_in)), requires_grad=True)
+def kaiming(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
+    """He-normal weight of ``shape``: one draw with std sqrt(2 / fan_in)."""
+    return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), shape), requires_grad=True)
 
 
 def zeros_param(*shape) -> Tensor:
@@ -107,7 +102,7 @@ class Conv2d(Module):
     def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3, stride: int = 1,
                  padding: int = 1, dilation: int = 1):
         self.stride, self.padding, self.dilation = stride, padding, dilation
-        self.weight = kaiming_conv(rng, c_out, c_in, kernel, kernel)
+        self.weight = kaiming(rng, (c_out, c_in, kernel, kernel), c_in * kernel * kernel)
         self.bias = zeros_param(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -119,8 +114,7 @@ class ConvTranspose2d(Module):
     def __init__(self, rng, c_in: int, c_out: int, kernel: int = 4, stride: int = 2,
                  padding: int = 1):
         self.stride, self.padding = stride, padding
-        std = np.sqrt(2.0 / (c_in * kernel * kernel))
-        self.weight = Tensor(rng.normal(0.0, std, (c_in, c_out, kernel, kernel)), requires_grad=True)
+        self.weight = kaiming(rng, (c_in, c_out, kernel, kernel), c_in * kernel * kernel)
         self.bias = zeros_param(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -130,7 +124,7 @@ class ConvTranspose2d(Module):
 
 class Linear(Module):
     def __init__(self, rng, c_in: int, c_out: int):
-        self.weight = kaiming_linear(rng, c_out, c_in)
+        self.weight = kaiming(rng, (c_out, c_in), c_in)
         self.bias = zeros_param(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -155,34 +149,32 @@ class BatchNorm2d(Module):
 class GatedConv2d(Module):
     """Convolution modulated by a learned sigmoid gate.
 
-    output = LeakyReLU(conv_feat(x)) * sigmoid(conv_gate(x)); the gate lets
-    the layer suppress contributions from invalid (cloud) positions.
-    ``gated=False`` swaps in a plain convolution for the ablation that
-    removes gating; ``plain_act`` keeps the feature activation in that case.
+    output = LeakyReLU(conv_feat(x)) * sigmoid(conv_gate(x)) with 3x3 kernels,
+    stride 1 and padding 1; the gate lets the layer suppress contributions
+    from invalid (cloud) positions. ``gated=False`` swaps in a plain
+    convolution for the ablation that removes gating; ``plain_act`` keeps the
+    feature activation in that case.
     """
 
-    def __init__(self, rng, c_in: int, c_out: int, kernel: int = 3, padding: int = 1,
-                 gated: bool = True, plain_act: bool = False):
+    def __init__(self, rng, c_in: int, c_out: int, gated: bool = True, plain_act: bool = False):
         self.gated = gated
         self.plain_act = plain_act
-        self.feat = Conv2d(rng, c_in, c_out, kernel, padding=padding)
+        self.feat = Conv2d(rng, c_in, c_out)
         if gated:
-            self.gate = Conv2d(rng, c_in, c_out, kernel, padding=padding)
+            self.gate = Conv2d(rng, c_in, c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         if not self.gated:
             y = self.feat(x)
             return act(y) if self.plain_act else y
-        return gated_conv(x, self.feat.weight, self.gate.weight, self.feat.bias,
-                          self.gate.bias, padding=self.feat.padding)
+        return gated_conv(x, self.feat.weight, self.gate.weight, self.feat.bias, self.gate.bias)
 
 
 def gated_conv(x: Tensor, feat_weight: Tensor, gate_weight: Tensor,
-               feat_bias: Tensor, gate_bias: Tensor, stride: int = 1,
-               padding: int = 1) -> Tensor:
-    """Functional gated convolution with two parallel kernels of one spec."""
-    feat = ad.conv2d(x, feat_weight, feat_bias, stride=stride, padding=padding)
-    gate = ad.conv2d(x, gate_weight, gate_bias, stride=stride, padding=padding)
+               feat_bias: Tensor, gate_bias: Tensor) -> Tensor:
+    """Functional gated convolution: two parallel 3x3 kernels, stride 1, padding 1."""
+    feat = ad.conv2d(x, feat_weight, feat_bias, padding=1)
+    gate = ad.conv2d(x, gate_weight, gate_bias, padding=1)
     return ad.mul(act(feat), ad.sigmoid(gate))
 
 
@@ -297,6 +289,14 @@ def scdf_apply(x: Tensor, spatial: Tensor, channel: Tensor) -> Tensor:
     return ad.tsum(ad.mul(ad.mul(patches, sp), ch), axis=2)
 
 
+def _residual_call(block: Module, x: Tensor) -> Tensor:
+    """y = x + 0.1 * B(x), B = conv -> act -> conv -> act -> conv over ``block.convs``."""
+    b = block.convs[0](x)
+    b = block.convs[1](act(b))
+    b = block.convs[2](act(b))
+    return ad.add(x, ad.scale(b, RESIDUAL_SCALE))
+
+
 class GatedResidualBlock(Module):
     """Three gated convolutions with activations between, scaled residual.
 
@@ -307,11 +307,8 @@ class GatedResidualBlock(Module):
     def __init__(self, rng, channels: int, gated: bool = True):
         self.convs = [GatedConv2d(rng, channels, channels, gated=gated) for _ in range(3)]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        b = self.convs[0](x)
-        b = self.convs[1](act(b))
-        b = self.convs[2](act(b))
-        return ad.add(x, ad.scale(b, RESIDUAL_SCALE))
+    # bound per class, not inherited: perfbench wraps each class's own __dict__["__call__"]
+    __call__ = _residual_call
 
 
 class PlainResidualBlock(Module):
@@ -320,11 +317,7 @@ class PlainResidualBlock(Module):
     def __init__(self, rng, channels: int):
         self.convs = [Conv2d(rng, channels, channels) for _ in range(3)]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        b = self.convs[0](x)
-        b = self.convs[1](act(b))
-        b = self.convs[2](act(b))
-        return ad.add(x, ad.scale(b, RESIDUAL_SCALE))
+    __call__ = _residual_call
 
 
 class DynamicFilterResidualBlock(Module):

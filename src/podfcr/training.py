@@ -68,13 +68,16 @@ class LoadedDataset:
     test: list[SamplePair]
 
 
+def load_split(data_dir, split: str) -> list[SamplePair]:
+    """The samples listed in ``<data_dir>/<split>.manifest`` ("train" or "test")."""
+    manifest = Path(data_dir) / f"{split}.manifest"
+    if not manifest.exists():
+        raise FileNotFoundError(f"no {manifest.name} under {data_dir}")
+    return [load_sample(data_dir, rec) for rec in read_manifest(manifest)]
+
+
 def load_dataset(data_dir) -> LoadedDataset:
-    data_dir = Path(data_dir)
-    if not (data_dir / "train.manifest").exists():
-        raise FileNotFoundError(f"no train.manifest under {data_dir}")
-    train = [load_sample(data_dir, rec) for rec in read_manifest(data_dir / "train.manifest")]
-    test = [load_sample(data_dir, rec) for rec in read_manifest(data_dir / "test.manifest")]
-    return LoadedDataset(train=train, test=test)
+    return LoadedDataset(train=load_split(data_dir, "train"), test=load_split(data_dir, "test"))
 
 
 def make_batch(samples: list[SamplePair], sar_input: str):

@@ -70,6 +70,15 @@ class TestRunConfig:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    @pytest.mark.parametrize("overrides", [{"data_dir": "runs/#3/data"},
+                                           {"checkpoint_dir": "  ckpt"},
+                                           {"log_path": "run.log\nseed = 5"}])
+    def test_save_refuses_a_config_that_would_not_read_back(self, tmp_path, overrides):
+        path = tmp_path / "run.cfg"
+        with pytest.raises(ConfigError):
+            save_config(RunConfig(**overrides), path)
+        assert not path.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\nlerning_rate = 0.1\n")
@@ -373,6 +382,13 @@ class TestCli:
                        for p in (tmp_path / "a").rglob("*") if p.is_file())
         for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    @pytest.mark.parametrize("args", [["--patch", "0"], ["--patch", "2"], ["--patch", "18"],
+                                      ["--count", "-3"], ["--count", "1"]])
+    def test_gen_data_bad_size_is_usage_error(self, tmp_path, capsys, args):
+        assert cli_main(["gen-data", *args, "--out", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr().err.startswith(f"error:usage: {args[0]}")
+        assert not (tmp_path / "data").exists()
 
     def test_train_eval_infer_cycle(self, tmp_path, capsys):
         data = tmp_path / "data"
