@@ -5,11 +5,14 @@ dynamic-filter residual blocks on the radar branch) interleaved with four
 cross-fusion blocks, a fusion branch that pools the per-scale fused maps to
 the deepest scale, attention refinement over the three deepest-scale
 branches, and an ASPP decoder with skip connections plus a long additive
-skip from the cloudy input to the output. Of the ablation flags,
-``no_mmrf`` swaps the refinement for a 1x1 conv and ``no_aspp`` drops the
-ASPP at build time, while ``no_gc``, ``no_scdf`` and ``no_mmcf`` are passed
-into the blocks, which branch on them each call. The network is built from
-a ``ModelConfig``, whose schema lives in ``config``.
+skip from the cloudy input to the output. Every ablation flag picks modules
+at build time (``no_gc``: plain optical residual blocks and MMCF convs;
+``no_scdf``: no dynamic filters; ``no_mmcf``: no cross connections;
+``no_mmrf``: a 1x1 conv for MMRF; ``no_aspp``: no ASPP; ``scru_literal``:
+SCRUs without gammas). Per call, ``forward`` still branches on ``no_mmrf``
+and ``no_aspp``, and the radar residual blocks, MMCF and SCRU on the flags
+that built them. The network is built from a ``ModelConfig``, whose schema
+lives in ``config``.
 """
 
 from __future__ import annotations
@@ -32,14 +35,15 @@ class CloudRemovalNet(nn.Module):
         gated = not config.no_gc
         cross = not config.no_mmcf
         dual = config.radar_channels > 0
+        opt_block = nn.GatedResidualBlock if gated else nn.PlainResidualBlock
 
         self.opt_stem = nn.Conv2d(rng, OPTICAL_CHANNELS, c1)
-        self.opt_rb1 = nn.GatedResidualBlock(rng, c1, gated=gated)
+        self.opt_rb1 = opt_block(rng, c1)
         self.opt_down1 = nn.Downsample(rng, c1)
-        self.opt_rb2 = nn.GatedResidualBlock(rng, c2, gated=gated)
+        self.opt_rb2 = opt_block(rng, c2)
         self.opt_down2 = nn.Downsample(rng, c2)
-        self.opt_rb3 = nn.GatedResidualBlock(rng, c3, gated=gated)
-        self.opt_rb4 = nn.GatedResidualBlock(rng, c3, gated=gated)
+        self.opt_rb3 = opt_block(rng, c3)
+        self.opt_rb4 = opt_block(rng, c3)
         self.opt_exit = nn.Conv2d(rng, c3, c3)
 
         if dual:

@@ -17,6 +17,8 @@ from .autodiff import ShapeError, Tensor
 
 LEAKY_SLOPE = 0.2
 RESIDUAL_SCALE = 0.1
+FILTER_NORM_EPS = 1e-6   # guards the constant-kernel case where the std vanishes
+SCDF_K = 3               # side of every predicted dynamic-filter kernel
 
 
 def act(x: Tensor) -> Tensor:
@@ -111,15 +113,14 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, rng, c_in: int, c_out: int, kernel: int = 4, stride: int = 2,
-                 padding: int = 1):
-        self.stride, self.padding = stride, padding
-        self.weight = kaiming(rng, (c_in, c_out, kernel, kernel), c_in * kernel * kernel)
+    """4x4 transposed convolution, stride 2, padding 1: doubles H and W."""
+
+    def __init__(self, rng, c_in: int, c_out: int):
+        self.weight = kaiming(rng, (c_in, c_out, 4, 4), c_in * 4 * 4)
         self.bias = zeros_param(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv_transpose2d(x, self.weight, self.bias, stride=self.stride,
-                                   padding=self.padding)
+        return ad.conv_transpose2d(x, self.weight, self.bias, stride=2, padding=1)
 
 
 class Linear(Module):
@@ -134,8 +135,7 @@ class Linear(Module):
 class BatchNorm2d(Module):
     _buffers = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.momentum, self.eps = momentum, eps
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = zeros_param(channels)
         self.running_mean = np.zeros(channels)
@@ -143,7 +143,7 @@ class BatchNorm2d(Module):
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ad.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training, self.momentum, self.eps)
+                             self.running_var, training)
 
 
 class GatedConv2d(Module):
@@ -151,22 +151,14 @@ class GatedConv2d(Module):
 
     output = LeakyReLU(conv_feat(x)) * sigmoid(conv_gate(x)) with 3x3 kernels,
     stride 1 and padding 1; the gate lets the layer suppress contributions
-    from invalid (cloud) positions. ``gated=False`` swaps in a plain
-    convolution for the ablation that removes gating; ``plain_act`` keeps the
-    feature activation in that case.
+    from invalid (cloud) positions.
     """
 
-    def __init__(self, rng, c_in: int, c_out: int, gated: bool = True, plain_act: bool = False):
-        self.gated = gated
-        self.plain_act = plain_act
+    def __init__(self, rng, c_in: int, c_out: int):
         self.feat = Conv2d(rng, c_in, c_out)
-        if gated:
-            self.gate = Conv2d(rng, c_in, c_out)
+        self.gate = Conv2d(rng, c_in, c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if not self.gated:
-            y = self.feat(x)
-            return act(y) if self.plain_act else y
         return gated_conv(x, self.feat.weight, self.gate.weight, self.feat.bias, self.gate.bias)
 
 
@@ -181,35 +173,30 @@ def gated_conv(x: Tensor, feat_weight: Tensor, gate_weight: Tensor,
 class FilterNorm(Module):
     """Standardize each k*k kernel to zero mean / unit std, then rescale.
 
-    ``per_channel=True`` keeps one (alpha, beta) pair per channel for the
-    channel-filter branch; otherwise a single scalar pair is shared. eps
-    guards the constant-kernel case where the std vanishes.
+    ``channels`` given keeps one (alpha, beta) pair per channel for the
+    channel-filter branch; otherwise a single scalar pair is shared. Both
+    start at zero (see SCDF), so the output starts at zero.
     """
 
-    def __init__(self, channels: int | None = None, eps: float = 1e-6,
-                 alpha_init: float = 1.0):
-        self.eps = eps
-        if channels is None:
-            self.alpha = Tensor(np.full((1,), alpha_init), requires_grad=True)
-            self.beta = zeros_param(1)
-        else:
-            self.alpha = Tensor(np.full((channels, 1, 1), alpha_init), requires_grad=True)
-            self.beta = zeros_param(channels, 1, 1)
+    def __init__(self, channels: int | None = None):
+        shape = (1,) if channels is None else (channels, 1, 1)
+        self.alpha = zeros_param(*shape)
+        self.beta = zeros_param(*shape)
 
     def __call__(self, raw: Tensor) -> Tensor:
-        return filter_normalize(raw, self.alpha, self.beta, self.eps)
+        return filter_normalize(raw, self.alpha, self.beta)
 
 
-def filter_normalize(raw: Tensor, alpha: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def filter_normalize(raw: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
     """Functional form of FilterNorm over the trailing k*k kernel axes."""
     m = ad.tmean(raw, axis=(-2, -1), keepdims=True)
     centered = ad.sub(raw, m)
     var = ad.tmean(ad.mul(centered, centered), axis=(-2, -1), keepdims=True)
-    normed = ad.div(centered, ad.add(ad.sqrt(var), eps))
+    normed = ad.div(centered, ad.add(ad.sqrt(var), FILTER_NORM_EPS))
     return ad.add(ad.mul(alpha, normed), beta)
 
 
-def delta_kernel(k: int = 3) -> np.ndarray:
+def delta_kernel(k: int) -> np.ndarray:
     d = np.zeros((k, k))
     d[k // 2, k // 2] = 1.0
     return d
@@ -229,9 +216,8 @@ class SCDF(Module):
     two.
     """
 
-    def __init__(self, rng, channels: int, k: int = 3):
-        self.k = k
-        self.channels = channels
+    def __init__(self, rng, channels: int):
+        k = SCDF_K
         # spatial branch: zero weights, delta bias -> raw kernels start as delta
         self.spatial_conv = Conv2d(rng, channels, k * k, kernel=1, padding=0)
         self.spatial_conv.weight.data[...] = 0.0
@@ -241,14 +227,14 @@ class SCDF(Module):
         self.fc2 = Linear(rng, hidden, channels * k * k)
         self.fc2.weight.data[...] = 0.0
         self.fc2.bias.data[...] = np.tile(delta_kernel(k).reshape(-1), channels)
-        self.fn_spatial = FilterNorm(alpha_init=0.0)
-        self.fn_channel = FilterNorm(channels=channels, alpha_init=0.0)
+        self.fn_spatial = FilterNorm()
+        self.fn_channel = FilterNorm(channels=channels)
         self._delta = delta_kernel(k)
 
     def predict(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Filter bank for ``x``: spatial (N,1,k,k,H,W), channel (N,C,k,k)."""
         n, c, h, w = x.shape
-        k = self.k
+        k = SCDF_K
         raw_sp = self.spatial_conv(x)                              # (N, k*k, H, W)
         raw_sp = ad.reshape(raw_sp, (n, 1, k, k, h, w))
         sp = ad.transpose(raw_sp, (0, 1, 4, 5, 2, 3))              # kernel axes last for FN
@@ -304,8 +290,8 @@ class GatedResidualBlock(Module):
     residual scale stabilizes training without extra parameters.
     """
 
-    def __init__(self, rng, channels: int, gated: bool = True):
-        self.convs = [GatedConv2d(rng, channels, channels, gated=gated) for _ in range(3)]
+    def __init__(self, rng, channels: int):
+        self.convs = [GatedConv2d(rng, channels, channels) for _ in range(3)]
 
     # bound per class, not inherited: perfbench wraps each class's own __dict__["__call__"]
     __call__ = _residual_call
@@ -362,7 +348,7 @@ class Upsample(Module):
     """4x4 stride-2 transposed conv (C -> C/2) + BN + act; doubles H and W."""
 
     def __init__(self, rng, c_in: int):
-        self.conv = ConvTranspose2d(rng, c_in, c_in // 2, kernel=4, stride=2, padding=1)
+        self.conv = ConvTranspose2d(rng, c_in, c_in // 2)
         self.bn = BatchNorm2d(c_in // 2)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:

@@ -13,11 +13,12 @@ from .nn import check_state_dict
 
 
 class Adam:
+    eps = 1e-8
+
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 7e-5,
-                 beta1: float = 0.5, beta2: float = 0.999, eps: float = 1e-8,
-                 grad_clip: float = 0.0):
+                 beta1: float = 0.5, beta2: float = 0.999, grad_clip: float = 0.0):
         self.named_params = list(named_params)
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr, self.beta1, self.beta2 = lr, beta1, beta2
         self.grad_clip = grad_clip
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.named_params}

@@ -199,9 +199,9 @@ def model_config_from_meta(meta: dict) -> ModelConfig:
 
 def check_resume_config(meta: dict, config: RunConfig) -> None:
     """Reject a resume whose seed, batch size or model fields differ from the
-    checkpoint's (``patch``, ``scru_literal``, the seed and the batch size change
-    no tensor name or shape; the step count fixes the resume position only under
-    the batch size it was counted with)."""
+    checkpoint's, before any tensor loads, so the error names the field (``patch``,
+    the seed and the batch size change no tensor name or shape; the step count
+    fixes the resume position only under the batch size it was counted with)."""
     differing = [f"{key} = {meta[key]} (run config: {getattr(config, key)})"
                  for key in ("seed", "batch_size", *field_types(ModelConfig))
                  if meta[key] != getattr(config, key)]
@@ -276,15 +276,15 @@ def train_step(net: CloudRemovalNet, optimizer: Adam, batch, config: RunConfig
 
 
 def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet:
-    dataset = load_dataset(config.data_dir)
-    if not dataset.train:
+    samples = load_split(config.data_dir, "train")
+    if not samples:
         raise FileNotFoundError(f"no training samples under {config.data_dir}")
     net, optimizer = build_net_and_optimizer(config)
     ckpt_dir = Path(config.checkpoint_dir)
     if resume:
-        load_checkpoint(ckpt_dir, net, optimizer)
         check_resume_config(read_meta(ckpt_dir), config)
-    n = len(dataset.train)
+        load_checkpoint(ckpt_dir, net, optimizer)
+    n = len(samples)
     per_epoch = -(-n // config.batch_size)
     start_epoch, done_batches = divmod(optimizer.step_count, per_epoch)
     if resume:
@@ -297,7 +297,7 @@ def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet
         sums = np.zeros(5)
         batches = 0
         for lo in range(first, n, config.batch_size):
-            batch = make_batch([dataset.train[i] for i in order[lo:lo + config.batch_size]],
+            batch = make_batch([samples[i] for i in order[lo:lo + config.batch_size]],
                                config.sar_input)
             pred, terms = train_step(net, optimizer, batch, config)
             batch_psnr = min(metrics.psnr(np.clip(pred.data, 0.0, 1.0), batch[1].data),

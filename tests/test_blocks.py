@@ -76,6 +76,7 @@ class TestFilterNormalize:
 
     def test_per_kernel_statistics(self, rng):
         fn = nn.FilterNorm(channels=5)
+        fn.alpha.data[...] = 1.0  # the scale starts at zero
         raw = Tensor(rng.normal(0, 3, (2, 5, 3, 3)))
         out = fn(raw)
         means = out.data.mean(axis=(-2, -1))

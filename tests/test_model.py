@@ -3,11 +3,22 @@ import pytest
 
 from podfcr import autodiff as ad
 from podfcr.autodiff import Tensor
+from podfcr.experiments import INPUT_VARIANTS, MODULE_VARIANTS
 from podfcr.model import CloudRemovalNet, ModelConfig
 from podfcr.synthetic import make_sample
 from podfcr.training import make_batch
 
 DESK = dict(base_channels=4, patch=16)
+# the variants the ablation runner trains (its pfsar row reuses "full")
+VARIANTS = [(name, overrides) for name, overrides in MODULE_VARIANTS + INPUT_VARIANTS
+            if overrides is not None]
+BUILD_VARIANTS = VARIANTS + [("scru_literal", {"scru_literal": True}),
+                             ("no_mmcf+no_mmrf", {"no_mmcf": True, "no_mmrf": True})]
+
+
+def variant_params(variants):
+    return pytest.mark.parametrize("overrides", [o for _, o in variants],
+                                   ids=[name for name, _ in variants])
 
 
 def desk_net(seed=0, **overrides):
@@ -82,14 +93,15 @@ class TestForward:
             b = net.forward(cloudy, sar, training=False)
         assert np.array_equal(a.data, b.data)
 
-    def test_gradients_reach_every_parameter(self, rng):
+    @variant_params(BUILD_VARIANTS)
+    def test_gradients_reach_every_parameter(self, rng, overrides):
         # generic parameter point: the zero-initialized gates (SCDF fc2,
         # SCRU gammas) legitimately block gradients only at exact zero
-        net = desk_net()
+        net = desk_net(**overrides)
         for p in net.parameters():
             p.data = rng.normal(0.0, 0.2, p.data.shape)
         cloudy, sar = desk_inputs(rng, net.config)
-        pred = net.forward(cloudy, sar, training=True)
+        pred = net.forward(cloudy, sar if net.config.radar_channels else None, training=True)
         ad.tsum(ad.mul(pred, pred)).backward()
         dead = [name for name, p in net.named_parameters()
                 if p.grad is None or not np.any(p.grad)]
@@ -161,11 +173,7 @@ class TestForward:
 
 
 class TestAblations:
-    @pytest.mark.parametrize("overrides", [{"no_scdf": True}, {"no_gc": True},
-                                           {"no_mmcf": True}, {"no_mmrf": True},
-                                           {"no_aspp": True}, {"sar_input": "none"}],
-                             ids=["no_scdf", "no_gc", "no_mmcf", "no_mmrf", "no_aspp",
-                                  "sar_input_none"])
+    @variant_params(VARIANTS)
     def test_each_variant_preserves_shape(self, rng, overrides):
         net = desk_net(**overrides)
         cloudy, sar = desk_inputs(rng, net.config)

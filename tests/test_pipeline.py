@@ -550,13 +550,15 @@ class TestCli:
         cfg_path = tmp_path / "run.cfg"
         save_config(tiny_config(tiny_data, epochs=1, no_scdf=False), cfg_path)
         assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        saved = (tmp_path / "ckpt" / CHECKPOINT_FILE).read_bytes()
         save_config(tiny_config(tiny_data, epochs=2, no_scdf=True), cfg_path)
         capsys.readouterr()
         code = cli_main(["train", "--config", str(cfg_path), "--resume"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:checkpoint:")
-        assert "unexpected" in captured.err
+        assert "no_scdf = " in captured.err
+        assert (tmp_path / "ckpt" / CHECKPOINT_FILE).read_bytes() == saved  # no epoch trained
 
     @pytest.mark.parametrize("key,value", [("scru_literal", True), ("seed", 7),
                                            ("batch_size", 1)])
