@@ -1,3 +1,4 @@
+import os
 import re
 import zlib
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from podfcr import autodiff as ad
-from podfcr import evaluation, losses, training
+from podfcr import evaluation, experiments, losses, training
 from podfcr.cli import main as cli_main
 from podfcr.config import (ConfigError, ModelConfig, RunConfig, field_types,
                            format_key_values, load_config, save_config)
@@ -410,6 +411,29 @@ class TestCli:
         pred = read_tensor(out_path)
         assert pred.shape == (4, 16, 16)
         capsys.readouterr()
+
+    def test_ablate_report_does_not_depend_on_worker_count(self, tiny_data, capsys,
+                                                           monkeypatch):
+        cfg = tiny_config(tiny_data, epochs=1)
+        cfg_path = tiny_data / "run.cfg"
+        save_config(cfg, cfg_path)
+        reports = []
+        for workers, blas_threads in ((1, "2"), (2, None)):
+            monkeypatch.setattr(experiments, "MAX_WORKERS", workers)
+            if blas_threads is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+            out = tiny_data / f"ablation_{workers}.txt"
+            assert cli_main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert os.environ.get("OPENBLAS_NUM_THREADS") == blas_threads
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        rows = reports[0].decode().splitlines()
+        assert [row.split("\t")[0] for row in rows[1:]] == [
+            "full", "no_scdf", "no_gc", "no_mmcf", "no_mmrf", "no_aspp",
+            "input_none", "input_both", "input_bcfsar", "input_pfsar"]
+        assert "[no_gc] epoch=1" in capsys.readouterr().out
 
     def test_gradcheck_unknown_op_is_usage_error(self, capsys):
         code = cli_main(["gradcheck", "--op", "not_an_op"])
