@@ -27,6 +27,8 @@ import math
 import numpy as np
 
 _GRAD_ENABLED = True
+BN_MOMENTUM = 0.1   # weight of the batch statistics in each running-stat update
+BN_EPS = 1e-5       # added to the variance before its square root
 
 
 @contextlib.contextmanager
@@ -229,7 +231,7 @@ def relu(a) -> Tensor:
                  "relu")
 
 
-def leaky_relu(a, alpha: float = 0.2) -> Tensor:
+def leaky_relu(a, alpha: float) -> Tensor:
     """LeakyReLU; the subgradient at 0 takes the negative-slope branch."""
     a = as_tensor(a)
     return _node(np.where(a.data > 0.0, a.data, alpha * a.data), (a,),
@@ -486,22 +488,20 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: in
     return _conv("conv2d", x, weight, bias, stride, padding, dilation, False)
 
 
-def conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int = 0,
-                     dilation: int = 1) -> Tensor:
-    """Transposed convolution, the exact adjoint of conv2d with shared weights.
-
-    Weights are (C_in, C_out, kh, kw); output extent is
-    (H-1)*stride - 2*padding + dilation*(kh-1) + 1.
+def conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """Transposed convolution, the exact adjoint of undilated conv2d with shared
+    weights (C_in, C_out, kh, kw); output extent is (H-1)*stride - 2*padding + kh.
     """
-    return _conv("conv_transpose2d", x, weight, bias, stride, padding, dilation, True)
+    return _conv("conv_transpose2d", x, weight, bias, stride, padding, 1, True)
 
 
-def unfold(x, kernel: int = 3, padding: int = 1) -> Tensor:
-    """Sliding k*k patches of an NCHW tensor as (N, C, k*k, H_out, W_out)."""
+def unfold(x, kernel: int = 3) -> Tensor:
+    """Sliding k*k patches of an NCHW tensor, zero padded by k // 2, as (N, C, k*k, H, W)."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"unfold: input must be NCHW rank 4, got shape {x.shape}")
     k = int(kernel)
+    padding = k // 2
     ho = conv_out_size(x.shape[2], k, 1, padding, 1)
     wo = conv_out_size(x.shape[3], k, 1, padding, 1)
     cols = _patch_view(_pad_hw(x.data, padding), k, k, 1, 1, ho, wo)
@@ -515,22 +515,22 @@ def unfold(x, kernel: int = 3, padding: int = 1) -> Tensor:
 # pooling
 # ---------------------------------------------------------------------------
 
-def avg_pool2d(x, kernel: int, stride: int | None = None) -> Tensor:
+def avg_pool2d(x, kernel: int) -> Tensor:
+    """Mean over non-overlapping k*k windows (the stride is the kernel)."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"avg_pool2d: input must be NCHW rank 4, got shape {x.shape}")
     k = int(kernel)
-    s = k if stride is None else int(stride)
-    ho = conv_out_size(x.shape[2], k, s, 0, 1)
-    wo = conv_out_size(x.shape[3], k, s, 0, 1)
+    ho = conv_out_size(x.shape[2], k, k, 0, 1)
+    wo = conv_out_size(x.shape[3], k, k, 0, 1)
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"avg_pool2d: window {k} does not fit input {x.shape}")
-    cols = _patch_view(x.data, k, k, s, 1, ho, wo)
+    cols = _patch_view(x.data, k, k, k, 1, ho, wo)
     taps = cols.shape
 
     def bw(g):
         _give(x, lambda: _col2im(np.broadcast_to((g / (k * k))[:, :, None, None], taps),
-                                 x.shape[2], x.shape[3], s, 1))
+                                 x.shape[2], x.shape[3], k, 1))
 
     return _node(cols.mean(axis=(2, 3)), (x,), bw, "avg_pool2d")
 
@@ -547,11 +547,12 @@ def global_avg_pool(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch norm over (N, H, W); running stats update in place.
 
     Training mode normalizes with the biased batch variance and folds the
-    batch statistics into the running buffers; eval mode uses the buffers.
+    batch statistics into the running buffers with weight ``BN_MOMENTUM``;
+    eval mode uses the buffers. Both add ``BN_EPS`` to the variance.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
@@ -565,17 +566,17 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         m = tmean(x, axis=(0, 2, 3), keepdims=True)
         centered = sub(x, m)
         var = tmean(mul(centered, centered), axis=(0, 2, 3), keepdims=True)
-        xhat = div(centered, sqrt(add(var, eps)))
+        xhat = div(centered, sqrt(add(var, BN_EPS)))
         n = x.shape[0] * x.shape[2] * x.shape[3]
         unbias = n / (n - 1) if n > 1 else 1.0
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * m.data.reshape(c)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbias * var.data.reshape(c)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * m.data.reshape(c)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbias * var.data.reshape(c)
     else:
         rm = Tensor(running_mean.reshape(1, c, 1, 1).copy())
         rv = Tensor(running_var.reshape(1, c, 1, 1).copy())
-        xhat = div(sub(x, rm), sqrt(add(rv, eps)))
+        xhat = div(sub(x, rm), sqrt(add(rv, BN_EPS)))
     return add(mul(g4, xhat), b4)
 
 

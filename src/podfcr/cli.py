@@ -115,19 +115,17 @@ def cmd_infer(args) -> int:
         raise CliError("usage", "this checkpoint needs two inputs: cloudy and radar tensors")
     if not needs_sar and len(paths) not in (1, 2):
         raise CliError("usage", "expected the cloudy tensor (radar input is ignored)")
-    try:
-        cloudy = tensorfile.read_tensor(paths[0])
-        sar = tensorfile.read_tensor(paths[1]) if needs_sar else None
-    except tensorfile.TensorFileError as exc:
-        raise CliError("bad-tensorfile", str(exc)) from exc
-    if cloudy.ndim == 3:
+    cloudy = tensorfile.read_tensor(paths[0])
+    sar = tensorfile.read_tensor(paths[1]) if needs_sar else None
+    single = cloudy.ndim == 3   # one (C, P, P) tile in, one tile out
+    if single:
         cloudy = cloudy[None]
     if sar is not None and sar.ndim == 3:
         sar = sar[None]
     with ad.no_grad():
         pred = net.forward(ad.Tensor(cloudy), ad.Tensor(sar) if sar is not None else None,
                            training=False)
-    out = np.clip(pred.data, 0.0, 1.0)[0]
+    out = np.clip(pred.data[0] if single else pred.data, 0.0, 1.0)
     tensorfile.write_tensor(args.out, out)
     print(f"prediction {out.shape} written to {args.out}")
     return 0
@@ -205,6 +203,9 @@ def main(argv=None) -> int:
         return 1
     except (StateDictError, CheckpointError) as exc:
         print(f"error:checkpoint: {exc}", file=sys.stderr)
+        return 1
+    except tensorfile.TensorFileError as exc:
+        print(f"error:bad-tensorfile: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error:runtime: {exc}", file=sys.stderr)

@@ -73,6 +73,11 @@ def _flat_lc(x: Tensor) -> Tensor:
     return ad.transpose(ad.reshape(x, (n, c, h * w)), (0, 2, 1))
 
 
+def _affinity(a: Tensor, b: Tensor) -> Tensor:
+    """Row-softmax attention map softmax(a b^T) of (N, R, D) and (N, S, D): (N, R, S)."""
+    return ad.softmax(ad.matmul(a, ad.transpose(b, (0, 2, 1))), axis=-1)
+
+
 class SCRU(nn.Module):
     """Spatial + channel self-attention refinement for one branch.
 
@@ -96,9 +101,7 @@ class SCRU(nn.Module):
 
     def spatial_attention(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
-        q = _flat_lc(self.q_conv(x))                      # (N, L, Cq)
-        k = _flat_lc(self.k_conv(x))
-        attn = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 2, 1))), axis=-1)  # (N, L, L)
+        attn = _affinity(_flat_lc(self.q_conv(x)), _flat_lc(self.k_conv(x)))  # (N, L, L)
         v = _flat_lc(self.v_conv(x))                      # (N, L, C)
         out = ad.matmul(attn, v)                          # (N, L, C)
         return ad.reshape(ad.transpose(out, (0, 2, 1)), (n, c, h, w))
@@ -106,7 +109,7 @@ class SCRU(nn.Module):
     def channel_attention(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
         flat = ad.reshape(x, (n, c, h * w))               # (N, C, L)
-        attn = ad.softmax(ad.matmul(flat, ad.transpose(flat, (0, 2, 1))), axis=-1)  # (N, C, C)
+        attn = _affinity(flat, flat)                      # (N, C, C)
         out = ad.matmul(attn, flat)
         return ad.reshape(out, (n, c, h, w))
 
@@ -140,12 +143,8 @@ class MWRU(nn.Module):
             raise ShapeError(
                 f"MWRU: branch shapes differ: {f_opt.shape}, {f_sar.shape}, {f_fus.shape}")
         n, c, h, w = f_fus.shape
-        t = _flat_lc(self.theta(f_opt))                   # (N, L, Ck)
-        s = _flat_lc(self.sigma(f_sar))
-        m_cross = ad.softmax(ad.matmul(t, ad.transpose(s, (0, 2, 1))), axis=-1)  # (N, L, L)
-        p = _flat_lc(self.phi(f_fus))
-        o = _flat_lc(self.omega(f_fus))
-        m_fus = ad.softmax(ad.matmul(p, ad.transpose(o, (0, 2, 1))), axis=-1)
+        m_cross = _affinity(_flat_lc(self.theta(f_opt)), _flat_lc(self.sigma(f_sar)))  # (N, L, L)
+        m_fus = _affinity(_flat_lc(self.phi(f_fus)), _flat_lc(self.omega(f_fus)))
         weights = ad.softmax(ad.matmul(m_cross, m_fus), axis=-1)                 # (N, L, L)
         flat = ad.reshape(f_fus, (n, c, h * w))           # (N, C, L)
         out = ad.reshape(ad.matmul(flat, weights), (n, c, h, w))

@@ -15,7 +15,8 @@ from . import autodiff as ad
 from . import fusion, losses, nn
 from .autodiff import Tensor
 
-DEFAULT_H = 1e-5
+FD_STEP = 1e-5          # h of the central differences
+PARAM_STD = 0.3         # std of the random parameters of a checked module
 TOLERANCE = 1e-4
 
 
@@ -24,7 +25,7 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric) / denom)
 
 
-def gradcheck(fn, tensors: list[Tensor], h: float = DEFAULT_H, seed: int = 0) -> float:
+def gradcheck(fn, tensors: list[Tensor]) -> float:
     """Norm-relative error between the tape gradient and central differences.
 
     ``fn`` rebuilds its forward pass from the given tensors on every call;
@@ -35,7 +36,7 @@ def gradcheck(fn, tensors: list[Tensor], h: float = DEFAULT_H, seed: int = 0) ->
     against rounding noise.
     """
     out = fn()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     weights = rng.normal(0.0, 1.0, out.shape)
     loss = ad.tsum(ad.mul(out, Tensor(weights)))
     for t in tensors:
@@ -55,12 +56,12 @@ def gradcheck(fn, tensors: list[Tensor], h: float = DEFAULT_H, seed: int = 0) ->
         nflat = num.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             plus = value()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             minus = value()
             flat[i] = orig
-            nflat[i] = (plus - minus) / (2.0 * h)
+            nflat[i] = (plus - minus) / (2.0 * FD_STEP)
         numeric.append(num)
     cat_a = np.concatenate([a.ravel() for a in analytic])
     cat_n = np.concatenate([n.ravel() for n in numeric])
@@ -71,10 +72,10 @@ def _rand(rng, *shape) -> Tensor:
     return Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
 
 
-def _randomize(module: nn.Module, rng, scale: float = 0.3) -> list[Tensor]:
+def _randomize(module: nn.Module, rng) -> list[Tensor]:
     params = list(module.parameters())
     for p in params:
-        p.data = rng.normal(0.0, scale, p.data.shape)
+        p.data = rng.normal(0.0, PARAM_STD, p.data.shape)
     return params
 
 
@@ -126,7 +127,7 @@ def check_elementwise() -> float:
     y = _rand(rng, 1, 2, 4, 4)
 
     def fn():
-        z = ad.mul(ad.leaky_relu(x, 0.2), ad.sigmoid(y))
+        z = ad.mul(ad.leaky_relu(x, nn.LEAKY_SLOPE), ad.sigmoid(y))
         z = ad.add(z, ad.tanh(ad.scale(x, 0.5)))
         z = ad.concat([z, ad.relu(y)], axis=1)
         z = ad.avg_pool2d(z, 2)

@@ -44,16 +44,15 @@ def loss_local(pred: Tensor, target: Tensor, mask: Tensor) -> Tensor:
     return ad.tmean(ad.absolute(diff))
 
 
-def gaussian_window(size: int, sigma: float = SSIM_SIGMA) -> np.ndarray:
+def gaussian_window(size: int) -> np.ndarray:
     half = (size - 1) / 2.0
     coords = np.arange(size) - half
-    g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
+    g = np.exp(-(coords ** 2) / (2.0 * SSIM_SIGMA ** 2))
     g2 = np.outer(g, g)
     return g2 / g2.sum()
 
 
-def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA,
-         c1: float = SSIM_C1, c2: float = SSIM_C2) -> Tensor:
+def ssim(x: Tensor, y: Tensor) -> Tensor:
     """Mean structural similarity over windows and channels, in [-1, 1].
 
     Differentiable; statistics come from a valid-mode Gaussian-window
@@ -65,8 +64,8 @@ def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW, sigma: float = SSIM_SI
     if x.ndim != 4:
         raise ShapeError(f"ssim: input must be NCHW rank 4, got {x.shape}")
     n, c, h, w = x.shape
-    win = min(window, h, w)
-    kernel = Tensor(gaussian_window(win, sigma).reshape(1, 1, win, win))
+    win = min(SSIM_WINDOW, h, w)
+    kernel = Tensor(gaussian_window(win).reshape(1, 1, win, win))
 
     def blur(t: Tensor) -> Tensor:
         flat = ad.reshape(t, (n * c, 1, h, w))
@@ -81,8 +80,8 @@ def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW, sigma: float = SSIM_SI
     var_y = ad.sub(blur(ad.mul(y, y)), mu_yy)
     cov = ad.sub(blur(ad.mul(x, y)), mu_xy)
 
-    num = ad.mul(ad.add(ad.scale(mu_xy, 2.0), c1), ad.add(ad.scale(cov, 2.0), c2))
-    den = ad.mul(ad.add(ad.add(mu_xx, mu_yy), c1), ad.add(ad.add(var_x, var_y), c2))
+    num = ad.mul(ad.add(ad.scale(mu_xy, 2.0), SSIM_C1), ad.add(ad.scale(cov, 2.0), SSIM_C2))
+    den = ad.mul(ad.add(ad.add(mu_xx, mu_yy), SSIM_C1), ad.add(ad.add(var_x, var_y), SSIM_C2))
     return ad.tmean(ad.div(num, den))
 
 
@@ -90,9 +89,8 @@ def loss_ssim(pred: Tensor, target: Tensor) -> Tensor:
     return ad.sub(1.0, ssim(target, pred))
 
 
-def loss_components(pred: Tensor, target: Tensor, mask: Tensor,
-                    lambda_local: float = 10.0, lambda_ssim: float = 1.0
-                    ) -> tuple[Tensor, float, float, float]:
+def loss_components(pred: Tensor, target: Tensor, mask: Tensor, lambda_local: float,
+                    lambda_ssim: float) -> tuple[Tensor, float, float, float]:
     """L_g + (lambda1 * L_l + lambda2 * L_ssim) as a tensor, plus the three
     terms as scalars for logging."""
     lg = loss_global(pred, target)
@@ -102,7 +100,7 @@ def loss_components(pred: Tensor, target: Tensor, mask: Tensor,
     return total, lg.item(), ll.item(), ls.item()
 
 
-def loss_total(pred: Tensor, target: Tensor, mask: Tensor,
-               lambda_local: float = 10.0, lambda_ssim: float = 1.0) -> Tensor:
+def loss_total(pred: Tensor, target: Tensor, mask: Tensor, lambda_local: float,
+               lambda_ssim: float) -> Tensor:
     """The composite loss tensor alone, differentiable end to end."""
     return loss_components(pred, target, mask, lambda_local, lambda_ssim)[0]

@@ -17,11 +17,11 @@ from . import losses
 PSNR_CAP_DB = 100.0
 
 
-def psnr(pred: np.ndarray, target: np.ndarray, peak: float = 1.0) -> float:
+def psnr(pred: np.ndarray, target: np.ndarray) -> float:
     mse = float(np.mean((np.asarray(pred, dtype=np.float64) - target) ** 2))
     if mse == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(peak * peak / mse))
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def cc(pred: np.ndarray, target: np.ndarray) -> float:

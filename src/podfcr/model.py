@@ -28,7 +28,7 @@ from .synthetic import OPTICAL_CHANNELS
 
 
 class CloudRemovalNet(nn.Module):
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int):
         self.config = config
         rng = np.random.default_rng(seed)
         c1, c2, c3 = config.channel_schedule

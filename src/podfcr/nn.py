@@ -268,7 +268,7 @@ def scdf_apply(x: Tensor, spatial: Tensor, channel: Tensor) -> Tensor:
         raise ShapeError(f"scdf_apply: spatial bank {spatial.shape} does not match input {x.shape}")
     if channel.shape not in ((c, k, k), (n, c, k, k)):
         raise ShapeError(f"scdf_apply: channel bank {channel.shape} does not match {c} channels")
-    patches = ad.unfold(x, kernel=k, padding=k // 2)               # (N, C, k*k, H, W)
+    patches = ad.unfold(x, kernel=k)                               # (N, C, k*k, H, W)
     sp = ad.reshape(spatial, (n, 1, k * k, h, w))
     ch_shape = (1, c, k * k, 1, 1) if channel.ndim == 3 else (n, c, k * k, 1, 1)
     ch = ad.reshape(channel, ch_shape)
@@ -362,7 +362,7 @@ class ASPP(Module):
     1x1 conv broadcast back) concatenated and fused by a 1x1 conv back to C.
     """
 
-    def __init__(self, rng, channels: int, rates: tuple[int, int, int] = (6, 12, 18)):
+    def __init__(self, rng, channels: int, rates: tuple[int, int, int]):
         self.rates = tuple(rates)
         self.point = Conv2d(rng, channels, channels, kernel=1, padding=0)
         self.atrous = [Conv2d(rng, channels, channels, kernel=3, padding=r, dilation=r)

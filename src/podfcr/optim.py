@@ -15,8 +15,8 @@ from .nn import check_state_dict
 class Adam:
     eps = 1e-8
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 7e-5,
-                 beta1: float = 0.5, beta2: float = 0.999, grad_clip: float = 0.0):
+    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float, beta1: float,
+                 beta2: float, grad_clip: float = 0.0):
         self.named_params = list(named_params)
         self.lr, self.beta1, self.beta2 = lr, beta1, beta2
         self.grad_clip = grad_clip

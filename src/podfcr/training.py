@@ -318,7 +318,7 @@ def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet
     return net
 
 
-def overfit_single_sample(config: RunConfig, sample: SamplePair, steps: int = 200,
+def overfit_single_sample(config: RunConfig, sample: SamplePair, steps: int,
                           log=None) -> tuple[float, float]:
     """Train on one sample for a fixed number of steps.
 

@@ -99,7 +99,7 @@ class TestLossTotal:
     def test_zero_for_identical(self, rng):
         x = Tensor(rng.uniform(0, 1, (1, 4, 8, 8)))
         mask = Tensor(np.ones((1, 1, 8, 8)))
-        assert loss_total(x, x, mask).item() == 0.0
+        assert loss_total(x, x, mask, 10.0, 1.0).item() == 0.0
 
     def test_zero_weights_reduce_to_global(self, rng):
         pred = Tensor(rng.uniform(0, 1, (1, 4, 8, 8)))
@@ -122,7 +122,7 @@ class TestLossTotal:
         pred = Tensor(rng.uniform(0.1, 0.9, (1, 3, 6, 6)), requires_grad=True)
         target = Tensor(rng.uniform(0.1, 0.9, (1, 3, 6, 6)))
         mask = Tensor((rng.random((1, 1, 6, 6)) > 0.5).astype(float))
-        err = gradcheck(lambda: loss_total(pred, target, mask), [pred])
+        err = gradcheck(lambda: loss_total(pred, target, mask, 10.0, 1.0), [pred])
         assert err <= 1e-4
 
 

@@ -111,7 +111,7 @@ class TestForward:
         from podfcr.optim import Adam
 
         net = desk_net()
-        optimizer = Adam(list(net.named_parameters()), lr=1e-3)
+        optimizer = Adam(list(net.named_parameters()), lr=1e-3, beta1=0.5, beta2=0.999)
         cloudy, sar = desk_inputs(rng, net.config)
         # three steps: the filter-norm scale wakes first, then the kernel
         # predictors behind it, then their bottleneck layer

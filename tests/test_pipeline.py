@@ -15,7 +15,7 @@ from podfcr.experiments import INPUT_VARIANTS, MODULE_VARIANTS
 from podfcr.model import CloudRemovalNet
 from podfcr.nn import Conv2d, StateDictError
 from podfcr.optim import Adam
-from podfcr.synthetic import CLASS_LABELS, COVERAGE_BINS, build_dataset
+from podfcr.synthetic import CLASS_LABELS, COVERAGE_BINS, build_dataset, read_manifest
 from podfcr.tensorfile import read_tensor, write_tensor
 from podfcr.training import (CHECKPOINT_FILE, CheckpointError, TrainingDiverged,
                              build_net_and_optimizer, load_checkpoint, load_dataset, make_batch,
@@ -163,7 +163,8 @@ class TestTraining:
         cfg = tiny_config(tiny_data, epochs=1)
         net = train(cfg)
         restored = CloudRemovalNet(cfg.model_config(), seed=99)
-        optimizer = Adam(list(restored.named_parameters()))
+        optimizer = Adam(list(restored.named_parameters()), cfg.learning_rate, cfg.adam_beta1,
+                         cfg.adam_beta2)
         epoch = load_checkpoint(cfg.checkpoint_dir, restored, optimizer)
         assert epoch == 1
         for (_, a), (_, b) in zip(net.named_parameters(), restored.named_parameters()):
@@ -259,7 +260,8 @@ class TestTraining:
             assert np.array_equal(a.data, b.data), name
 
     def test_adam_load_state_dict_rejects_bad_moments_before_changing(self, rng):
-        optimizer = Adam(list(Conv2d(rng, 2, 3).named_parameters()))
+        optimizer = Adam(list(Conv2d(rng, 2, 3).named_parameters()), lr=7e-5, beta1=0.5,
+                         beta2=0.999)
         state = {k: v if k == "step" else rng.normal(size=v.shape)
                  for k, v in optimizer.state_dict().items()} | {"step": 3}
         name = next(k for k in state if k.startswith("v."))
@@ -289,7 +291,7 @@ class TestTraining:
         net.out_conv.weight.data[0, 0, 0, 0] = np.nan
         cloudy, clean, mask, sar = make_batch(dataset.train[:1], cfg.sar_input)
         pred = net.forward(cloudy, sar, training=True)
-        total = losses.loss_total(pred, clean, mask)
+        total = losses.loss_total(pred, clean, mask, cfg.lambda_local, cfg.lambda_ssim)
         assert not np.isfinite(total.item())
         # the poisoned weight itself is the earliest non-finite tensor
         assert ad.first_nonfinite_op(total).startswith("leaf")
@@ -613,3 +615,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:bad-tensorfile:")
+
+    def test_eval_bad_tensorfile_category(self, tmp_path, tiny_data, capsys):
+        cfg = tiny_config(tiny_data, epochs=1)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        record = read_manifest(tiny_data / "data" / "test.manifest")[0]
+        clean = tiny_data / "data" / record.paths["clean"]
+        clean.write_bytes(clean.read_bytes()[:-8])
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:bad-tensorfile:")
+
+    def test_infer_writes_the_whole_batch(self, tmp_path, tiny_data, capsys):
+        cfg = tiny_config(tiny_data, epochs=1)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        tiles = [tiny_data / "data" / f"sample_000{i}" for i in range(2)]
+
+        def infer(cloudy, sar, name):
+            paths = [tmp_path / f"{name}_cloudy.ptf", tmp_path / f"{name}_sar.ptf"]
+            write_tensor(paths[0], cloudy)
+            write_tensor(paths[1], sar)
+            assert cli_main(["infer", "--checkpoint", cfg.checkpoint_dir,
+                             "--in", *map(str, paths), "--out", str(tmp_path / name)]) == 0
+            return read_tensor(tmp_path / name)
+
+        stacked = infer(np.stack([read_tensor(t / "cloudy.ptf") for t in tiles]),
+                        np.stack([read_tensor(t / "pfsar.ptf") for t in tiles]), "pair")
+        assert stacked.shape == (2, 4, 16, 16)
+        for i, tile in enumerate(tiles):
+            single = infer(read_tensor(tile / "cloudy.ptf"), read_tensor(tile / "pfsar.ptf"),
+                           f"tile{i}")
+            assert single.shape == (4, 16, 16)
+            assert np.max(np.abs(stacked[i] - single)) <= 1e-12
+        capsys.readouterr()
