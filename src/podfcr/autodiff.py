@@ -2,7 +2,11 @@
 
 Every operation records a closure on a single-use tape; ``Tensor.backward()``
 walks the tape in reverse topological order and accumulates gradients into
-every tensor that requires them. Network tensors are NCHW rank-4, but the
+the leaves that require them. Only leaves keep ``.grad``: after
+``backward()`` a non-leaf tensor's ``.grad`` is ``None``. The walk frees the
+tape as it goes, dropping each node's gradient, closure and saved inputs once
+its own closure has run, so backward peaks near the size of the forward tape
+rather than at twice it. Network tensors are NCHW rank-4, but the
 engine itself is shape-agnostic so attention code can work on flattened
 matrix views. Convolutions gather sliding patches with stride tricks and
 reduce them with ``tensordot``; the quadruple-loop definition lives in the
@@ -82,7 +86,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Backpropagate from a scalar loss; the graph is single-use."""
+        """Backpropagate from a scalar loss; the graph is single-use.
+
+        Fills ``.grad`` on the leaves that require it. Every non-leaf node is
+        released as the walk passes it: its closure and parents are dropped
+        and its ``.grad`` is ``None`` afterwards.
+        """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar root, got shape {self.shape}")
         if self._consumed:
@@ -91,16 +100,18 @@ class Tensor:
         topo = _topo(self)
         self.grad = np.ones_like(self.data)
         self._consumed = True
-        for node in reversed(topo):
+        # reverse topological order: every consumer of a node ran before it
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-            # release the tape as we go; keep leaf grads
             node._backward = None
             node._parents = ()
-            if not node.requires_grad:
+            if node._op != "leaf":
                 node.grad = None
-            elif node is not self and node._op != "leaf":
                 node._consumed = True
+            elif not node.requires_grad:
+                node.grad = None
 
 
 def _topo(root: Tensor) -> list[Tensor]:

@@ -15,9 +15,10 @@ A checkpoint is one file, ``<checkpoint_dir>/checkpoint.ptc``:
                                         index order: parameters, batch-norm
                                         buffers, Adam moments
 
-A save writes ``checkpoint.ptc.tmp`` and moves it into place with
-``os.replace``, so a crash or kill during a save leaves the previous checkpoint
-whole. A parameter-only load reads the header and the parameter and buffer
+A save writes and fsyncs ``checkpoint.ptc.tmp``, moves it into place with
+``os.replace`` and then fsyncs the directory, so a crash or kill during a save
+leaves the previous checkpoint whole and a power loss after it cannot undo the
+rename. A parameter-only load reads the header and the parameter and buffer
 records, never the Adam moments. The per-epoch sample order is derived
 statelessly from (seed, epoch) and the step count fixes the epoch and batch to
 resume at (under the stored ``batch_size``), so a resumed run replays exactly
@@ -139,6 +140,11 @@ def save_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam,
         file.flush()
         os.fsync(file.fileno())
     os.replace(tmp, ckpt_dir / CHECKPOINT_FILE)
+    fd = os.open(ckpt_dir, os.O_RDONLY)
+    try:
+        os.fsync(fd)  # make the rename itself durable
+    finally:
+        os.close(fd)
 
 
 def _checkpoint_path(ckpt_dir) -> Path:
@@ -309,10 +315,11 @@ def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet
                 break
         step = optimizer.step_count
         mean = sums / max(batches, 1)
+        # save first, so the log never reports an epoch whose checkpoint is missing
+        save_checkpoint(ckpt_dir, net, optimizer, step // per_epoch, config)
         log(f"epoch={epoch + 1} step={step} loss_total={mean[0]:.6f} "
             f"loss_global={mean[1]:.6f} loss_local={mean[2]:.6f} loss_ssim={mean[3]:.6f} "
             f"train_psnr={mean[4]:.4f}")
-        save_checkpoint(ckpt_dir, net, optimizer, step // per_epoch, config)
         if done:
             break
     return net

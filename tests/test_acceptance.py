@@ -190,9 +190,10 @@ class TestCriterion5Overfit:
         assert elapsed <= 300.0
         assert reduction >= 0.90, (
             f"reduction {reduction * 100:.1f}% < 90%: at the pinned budget "
-            "(200 steps x lr 7e-5) per-parameter movement caps at 0.014, which "
-            "this architecture converts to ~87%; the same run passes 90% near "
-            "step 347")
+            "(200 steps x lr 7e-5) the loss is nearly flat for the first 10 "
+            "steps behind the zero-init out_conv, and at step 200 the masked "
+            "10*L_local term is 55% of the remaining loss; the same run passes "
+            "90% near step 347")
 
     @pytest.mark.slow
     def test_overfit_diagnostic_extended_budget(self):

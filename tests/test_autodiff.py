@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,27 @@ class TestBackward:
         loss.backward()
         with pytest.raises(GraphError, match="consumed"):
             loss.backward()
+
+    def test_backward_frees_the_tape_as_it_goes(self, rng):
+        x = Tensor(rng.normal(size=(1 << 17,)), requires_grad=True)  # 1 MiB
+        out = x
+        for _ in range(20):
+            out = ad.sigmoid(out)
+        loss = ad.tsum(out)
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding every intermediate gradient to the end peaks at about 22 MiB
+        assert peak < 4 << 20
+        assert out.grad is None
+        outputs = [x.data]
+        for _ in range(20):
+            outputs.append(1.0 / (1.0 + np.exp(-outputs[-1])))
+        want = np.prod([s * (1.0 - s) for s in outputs[1:]], axis=0)
+        assert np.allclose(x.grad, want, rtol=1e-12, atol=0.0)
 
     def test_no_grad_suppresses_taping(self, rng):
         x = Tensor(rng.normal(size=(3,)), requires_grad=True)

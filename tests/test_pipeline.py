@@ -245,9 +245,13 @@ class TestTraining:
             write_tensor(dest, array)
 
         monkeypatch.setattr(training, "write_tensor", failing_write)
+        logs = []
         with pytest.raises(OSError, match="disk full"):
-            train(cfg)
+            train(cfg, log=logs.append)
         monkeypatch.undo()
+        # the epoch line follows its save, so a failed save never logs its epoch
+        assert any(line.startswith("epoch=1 ") for line in logs)
+        assert not any(line.startswith("epoch=2 ") for line in logs)
         ckpt = Path(cfg.checkpoint_dir)
         assert (ckpt / f"{CHECKPOINT_FILE}.tmp").is_file()  # the partial save, never loaded
         assert (ckpt / CHECKPOINT_FILE).read_bytes() == \
@@ -483,13 +487,20 @@ class TestCli:
         cfg_path = tmp_path / "run.cfg"
         save_config(cfg, cfg_path)
 
-        def failing_save(*args, **kwargs):
-            raise OSError("disk full")
+        saves = []
+        save = training.save_checkpoint
+
+        def failing_save(*args, **kwargs):  # the epoch-2 save crashes
+            saves.append(args)
+            if len(saves) == 2:
+                raise OSError("disk full")
+            save(*args, **kwargs)
 
         monkeypatch.setattr(training, "save_checkpoint", failing_save)
         assert cli_main(["train", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error:runtime: disk full")
-        assert "epoch=1 " in (tmp_path / "train.log").read_text()
+        text = (tmp_path / "train.log").read_text()
+        assert "epoch=1 " in text and "epoch=2 " not in text
 
     def test_resume_without_checkpoint_category(self, tiny_data, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
