@@ -17,6 +17,11 @@ from pathlib import Path
 from .synthetic import SAR_INPUT_ROLES, SAR_ROLE_CHANNELS
 
 
+# the one module an ablation removes (model.py says how), or none for "full"
+ABLATIONS = ("full", "no_scdf", "no_gc", "no_mmcf", "no_mmrf", "no_aspp")
+_RADAR_ABLATIONS = ("no_scdf", "no_mmcf", "no_mmrf")   # modules the optical-only model lacks
+
+
 class ConfigError(ValueError):
     pass
 
@@ -28,17 +33,17 @@ class ModelConfig:
     base_channels: int = 8          # 64 at full scale, 8 at desk scale
     patch: int = 32                 # 256 at full scale
     sar_input: str = "pfsar"        # a key of synthetic.SAR_INPUT_ROLES; "none" = optical only
-    no_scdf: bool = False
-    no_gc: bool = False
-    no_mmcf: bool = False
-    no_mmrf: bool = False
-    no_aspp: bool = False
-    scru_literal: bool = False
+    ablation: str = "full"          # one of ABLATIONS
 
     def __post_init__(self):
         if self.sar_input not in SAR_INPUT_ROLES:
             raise ConfigError(f"sar_input must be one of {tuple(SAR_INPUT_ROLES)}, "
                               f"got {self.sar_input!r}")
+        if self.ablation not in ABLATIONS:
+            raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
+        if self.ablation in _RADAR_ABLATIONS and not self.radar_channels:
+            raise ConfigError(f"ablation {self.ablation} removes a radar-branch module, and "
+                              "the optical-only model (sar_input = none) has none")
         if self.patch % 4 != 0 or self.patch < 8:
             raise ConfigError(f"patch must be a multiple of 4 and at least 8, got {self.patch}")
         if self.base_channels < 1:
@@ -99,9 +104,7 @@ def field_types(cls) -> dict[str, str]:
 
 
 _FIELDS = field_types(RunConfig)
-_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
-          **dict.fromkeys(("false", "0", "no", "off"), False)}
-_PARSERS = {"bool": lambda raw: _BOOLS[raw.lower()], "int": int, "float": float, "str": str}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def parse_key_values(text: str, types: dict[str, str], source) -> dict:
@@ -122,7 +125,7 @@ def parse_key_values(text: str, types: dict[str, str], source) -> dict:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = _PARSERS[types[key]](raw)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(
                 f"{source}:{lineno}: {key}: expected {types[key]}, got {raw!r}") from None
     return values

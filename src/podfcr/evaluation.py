@@ -36,9 +36,10 @@ def predict(net: CloudRemovalNet, samples: list[SamplePair], sar_input: str,
     return preds
 
 
-def evaluate_samples(net: CloudRemovalNet, samples: list[SamplePair],
-                     sar_input: str) -> list[dict]:
-    preds = predict(net, samples, sar_input)
+def evaluate_samples(net: CloudRemovalNet, samples: list[SamplePair]) -> list[dict]:
+    """Per-sample metrics of ``net`` on ``samples``, fed the radar input the
+    network was built for."""
+    preds = predict(net, samples, net.config.sar_input)
     rows = []
     for sample, pred in zip(samples, preds):
         row = metrics.evaluate_pair(pred, sample.clean)
@@ -87,7 +88,7 @@ def parse_report(text: str) -> dict[tuple[str, str, str], dict]:
 
 
 def evaluate(config: RunConfig, net: CloudRemovalNet, report_path=None) -> str:
-    rows = evaluate_samples(net, load_split(config.data_dir, "test"), config.sar_input)
+    rows = evaluate_samples(net, load_split(config.data_dir, "test"))
     report = render_report(rows)
     target = Path(report_path if report_path is not None else config.report_path)
     target.parent.mkdir(parents=True, exist_ok=True)

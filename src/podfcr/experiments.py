@@ -1,10 +1,12 @@
 """Ablation study runner.
 
-Trains the full model, the five module ablations (dynamic filters, gating,
-cross fusion, refinement fusion, ASPP), and the input ablations (no radar,
-both radar stacks, backscatter-only), then evaluates each on the shared test
-split and renders one comparative report. The polarization-feature-only
-input row reuses the full baseline, which already trains on that input.
+Trains the full model, the five module ablations of ``config.ABLATIONS``
+(dynamic filters, gating, cross fusion, refinement fusion, ASPP) on the
+polarization-feature input, and the full model on the other radar inputs
+(none, both stacks, backscatter only), then evaluates each on the shared test
+split and renders one comparative report. Each variant sets its own
+``ablation`` and ``sar_input``; the base config gives the rest. The
+polarization-feature input row reuses the full baseline.
 
 Each variant trains in its own spawned process with one BLAS thread, so the
 variants run side by side on separate cores, and the results are the same
@@ -22,21 +24,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, metrics
-from .config import RunConfig
+from .config import ABLATIONS, RunConfig
 from .training import load_split, train
 
-MODULE_VARIANTS = (
-    ("full", {}),
-    ("no_scdf", {"no_scdf": True}),
-    ("no_gc", {"no_gc": True}),
-    ("no_mmcf", {"no_mmcf": True}),
-    ("no_mmrf", {"no_mmrf": True}),
-    ("no_aspp", {"no_aspp": True}),
-)
+MODULE_VARIANTS = tuple((name, {"ablation": name, "sar_input": "pfsar"}) for name in ABLATIONS)
 INPUT_VARIANTS = (
-    ("input_none", {"sar_input": "none"}),
-    ("input_both", {"sar_input": "both"}),
-    ("input_bcfsar", {"sar_input": "bcfsar"}),
+    ("input_none", {"ablation": "full", "sar_input": "none"}),
+    ("input_both", {"ablation": "full", "sar_input": "both"}),
+    ("input_bcfsar", {"ablation": "full", "sar_input": "bcfsar"}),
     ("input_pfsar", None),  # alias of the full baseline
 )
 
@@ -58,7 +53,7 @@ def train_variant(cfg: RunConfig) -> tuple[dict, list[str]]:
     aggregate metrics and the training log lines."""
     lines: list[str] = []
     net = train(cfg, log=lines.append)
-    rows = evaluation.evaluate_samples(net, load_split(cfg.data_dir, "test"), cfg.sar_input)
+    rows = evaluation.evaluate_samples(net, load_split(cfg.data_dir, "test"))
     return metrics.aggregate(rows), lines
 
 

@@ -83,21 +83,18 @@ class SCRU(nn.Module):
 
     Spatial branch: Q, K from 1x1 convs (C -> C/8), V from a 1x1 conv (C -> C);
     softmax(Q K^T) V is added back residually. Channel branch: Q, K, V are
-    reshapes of the input, attention over C x C. By default each attention
-    term is scaled by a learnable gamma starting at 0 so the unit is the
-    identity at initialization; ``literal=True`` keeps the gamma-free textbook
-    form (both branches add the input once each, so zero value paths give 2x).
+    reshapes of the input, attention over C x C. Each attention term is
+    scaled by a learnable gamma starting at 0, and their sum is added to the
+    input once, so the unit is the identity at initialization.
     """
 
-    def __init__(self, rng, channels: int, literal: bool = False):
-        self.literal = literal
+    def __init__(self, rng, channels: int):
         cq = max(1, channels // 8)
         self.q_conv = nn.Conv2d(rng, channels, cq, kernel=1, padding=0)
         self.k_conv = nn.Conv2d(rng, channels, cq, kernel=1, padding=0)
         self.v_conv = nn.Conv2d(rng, channels, channels, kernel=1, padding=0)
-        if not literal:
-            self.gamma_spatial = nn.zeros_param(1)
-            self.gamma_channel = nn.zeros_param(1)
+        self.gamma_spatial = nn.zeros_param(1)
+        self.gamma_channel = nn.zeros_param(1)
 
     def spatial_attention(self, x: Tensor) -> Tensor:
         n, c, h, w = x.shape
@@ -116,8 +113,6 @@ class SCRU(nn.Module):
     def __call__(self, x: Tensor) -> Tensor:
         att_sp = self.spatial_attention(x)
         att_ch = self.channel_attention(x)
-        if self.literal:
-            return ad.add(ad.add(att_sp, x), ad.add(att_ch, x))
         return ad.add(x, ad.add(ad.mul(self.gamma_spatial, att_sp),
                                 ad.mul(self.gamma_channel, att_ch)))
 
@@ -154,10 +149,10 @@ class MWRU(nn.Module):
 class MMRF(nn.Module):
     """Refinement fusion: per-branch SCRU, then MWRU over the three branches."""
 
-    def __init__(self, rng, channels: int, literal_scru: bool = False):
-        self.scru_opt = SCRU(rng, channels, literal=literal_scru)
-        self.scru_sar = SCRU(rng, channels, literal=literal_scru)
-        self.scru_fus = SCRU(rng, channels, literal=literal_scru)
+    def __init__(self, rng, channels: int):
+        self.scru_opt = SCRU(rng, channels)
+        self.scru_sar = SCRU(rng, channels)
+        self.scru_fus = SCRU(rng, channels)
         self.mwru = MWRU(rng, channels)
 
     def __call__(self, f_opt: Tensor, f_sar: Tensor, f_fus: Tensor) -> Tensor:

@@ -5,14 +5,14 @@ dynamic-filter residual blocks on the radar branch) interleaved with four
 cross-fusion blocks, a fusion branch that pools the per-scale fused maps to
 the deepest scale, attention refinement over the three deepest-scale
 branches, and an ASPP decoder with skip connections plus a long additive
-skip from the cloudy input to the output. Every ablation flag picks modules
-at build time (``no_gc``: plain optical residual blocks and MMCF convs;
-``no_scdf``: no dynamic filters; ``no_mmcf``: no cross connections;
-``no_mmrf``: a 1x1 conv for MMRF; ``no_aspp``: no ASPP; ``scru_literal``:
-SCRUs without gammas). Per call, ``forward`` still branches on ``no_mmrf``
-and ``no_aspp``, and the radar residual blocks, MMCF and SCRU on the flags
-that built them. The network is built from a ``ModelConfig``, whose schema
-lives in ``config``.
+skip from the cloudy input to the output. The network is built from a
+``ModelConfig``, whose schema lives in ``config``. Its ``ablation`` picks
+modules at build time: ``no_gc`` builds plain optical residual blocks and
+MMCF convs, ``no_scdf`` radar blocks without dynamic filters, ``no_mmcf``
+MMCFs without cross connections, ``no_mmrf`` a 1x1 conv in place of MMRF, and
+``no_aspp`` no ASPP. Per call, ``forward`` still branches on ``no_mmrf``,
+``no_aspp`` and the optical-only model (``sar_input = none``), and the radar
+residual blocks and MMCFs on the flags that built them.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class CloudRemovalNet(nn.Module):
         self.config = config
         rng = np.random.default_rng(seed)
         c1, c2, c3 = config.channel_schedule
-        gated = not config.no_gc
-        cross = not config.no_mmcf
+        gated = config.ablation != "no_gc"
+        cross = config.ablation != "no_mmcf"
         dual = config.radar_channels > 0
         opt_block = nn.GatedResidualBlock if gated else nn.PlainResidualBlock
 
@@ -47,7 +47,7 @@ class CloudRemovalNet(nn.Module):
         self.opt_exit = nn.Conv2d(rng, c3, c3)
 
         if dual:
-            scdf = not config.no_scdf
+            scdf = config.ablation != "no_scdf"
             self.sar_stem = nn.Conv2d(rng, config.radar_channels, c1)
             self.sar_rb1 = nn.DynamicFilterResidualBlock(rng, c1, use_scdf=scdf)
             self.sar_down1 = nn.Downsample(rng, c1)
@@ -62,12 +62,12 @@ class CloudRemovalNet(nn.Module):
             self.mmcf4 = MMCF(rng, c3, gated=gated, cross=cross)
             fused_width = 2 * c1 + 2 * c2 + 2 * c3 + 2 * c3
             self.fus_exit = nn.Conv2d(rng, fused_width, c3)
-            if config.no_mmrf:
+            if config.ablation == "no_mmrf":
                 self.refine_concat = nn.Conv2d(rng, 3 * c3, c3, kernel=1, padding=0)
             else:
-                self.mmrf = MMRF(rng, c3, literal_scru=config.scru_literal)
+                self.mmrf = MMRF(rng, c3)
 
-        if not config.no_aspp:
+        if config.ablation != "no_aspp":
             self.aspp = nn.ASPP(rng, c3, rates=config.aspp_rates)
         self.up1 = nn.Upsample(rng, c3)
         self.merge1 = nn.Conv2d(rng, 2 * c2, c2, kernel=1, padding=0)
@@ -138,14 +138,14 @@ class CloudRemovalNet(nn.Module):
             f1 = ad.avg_pool2d(ad.avg_pool2d(fused1, 2), 2)
             f2 = ad.avg_pool2d(fused2, 2)
             fus_feat = nn.act(self.fus_exit(ad.concat([f1, f2, fused3, fused4], axis=1)))
-            if cfg.no_mmrf:
+            if cfg.ablation == "no_mmrf":
                 refined = self.refine_concat(ad.concat([opt_feat, sar_feat, fus_feat], axis=1))
             else:
                 refined = self.mmrf(opt_feat, sar_feat, fus_feat)
         else:
             refined = opt_feat
 
-        x = refined if cfg.no_aspp else self.aspp(refined)
+        x = refined if cfg.ablation == "no_aspp" else self.aspp(refined)
         x = self.merge1(ad.concat([self.up1(x, training), skip2], axis=1))
         x = self.dec_rb1[1](self.dec_rb1[0](x))
         x = self.merge2(ad.concat([self.up2(x, training), skip1], axis=1))

@@ -77,7 +77,7 @@ class TestSCRU:
         assert np.array_equal(block(x).data, x.data)
 
     def test_single_pixel_spatial_branch_is_v_plus_input(self, rng):
-        block = SCRU(rng, 6, literal=True)
+        block = SCRU(rng, 6)
         for p in block.parameters():
             p.data = rng.normal(0, 0.5, p.data.shape)
         x = Tensor(rng.uniform(0, 1, (1, 6, 1, 1)))
@@ -98,17 +98,6 @@ class TestSCRU:
         attn = ad.softmax(ad.matmul(qf, kf), axis=-1)
         assert np.max(np.abs(attn.data.sum(axis=-1) - 1.0)) <= 1e-12
         assert np.all(attn.data >= 0.0)
-
-    def test_literal_mode_doubles_input_when_values_zero(self, rng):
-        block = SCRU(rng, 4, literal=True)
-        block.v_conv.weight.data[...] = 0.0
-        block.v_conv.bias.data[...] = 0.0
-        x = Tensor(rng.uniform(0.1, 0.9, (1, 4, 3, 3)))
-        out = block(x)
-        # channel attention values are reshapes of x itself, so zeroing the
-        # value path only empties the spatial branch
-        ch = block.channel_attention(x)
-        assert np.max(np.abs(out.data - (2.0 * x.data + ch.data))) <= 1e-12
 
 
 class TestMWRU:

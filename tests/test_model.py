@@ -12,8 +12,6 @@ DESK = dict(base_channels=4, patch=16)
 # the variants the ablation runner trains (its pfsar row reuses "full")
 VARIANTS = [(name, overrides) for name, overrides in MODULE_VARIANTS + INPUT_VARIANTS
             if overrides is not None]
-BUILD_VARIANTS = VARIANTS + [("scru_literal", {"scru_literal": True}),
-                             ("no_mmcf+no_mmrf", {"no_mmcf": True, "no_mmrf": True})]
 
 
 def variant_params(variants):
@@ -93,7 +91,7 @@ class TestForward:
             b = net.forward(cloudy, sar, training=False)
         assert np.array_equal(a.data, b.data)
 
-    @variant_params(BUILD_VARIANTS)
+    @variant_params(VARIANTS)
     def test_gradients_reach_every_parameter(self, rng, overrides):
         # generic parameter point: the zero-initialized gates (SCDF fc2,
         # SCRU gammas) legitimately block gradients only at exact zero
@@ -180,11 +178,6 @@ class TestAblations:
         out = net.forward(cloudy, sar if net.config.radar_channels else None, training=False)
         assert out.shape == cloudy.shape
 
-    def test_combined_ablation_runs(self, rng):
-        net = desk_net(no_mmcf=True, no_mmrf=True)
-        cloudy, sar = desk_inputs(rng, net.config)
-        assert net.forward(cloudy, sar).shape == cloudy.shape
-
     def test_sar_input_none_ignores_radar(self, rng):
         net = desk_net(sar_input="none")
         cloudy, _ = desk_inputs(rng, net.config)
@@ -200,8 +193,8 @@ class TestAblations:
         names_full = {name for name, _ in full.named_parameters()}
         assert any("mmrf" in n for n in names_full)
         assert any("gate" in n for n in names_full)
-        no_gc = desk_net(no_gc=True)
+        no_gc = desk_net(ablation="no_gc")
         assert not any("gate" in n for n, _ in no_gc.named_parameters())
-        no_mmrf = desk_net(no_mmrf=True)
+        no_mmrf = desk_net(ablation="no_mmrf")
         assert not any("mmrf" in n for n, _ in no_mmrf.named_parameters())
         assert any("refine_concat" in n for n, _ in no_mmrf.named_parameters())

@@ -9,7 +9,7 @@ import pytest
 from podfcr import autodiff as ad
 from podfcr import evaluation, experiments, losses, training
 from podfcr.cli import main as cli_main
-from podfcr.config import (ConfigError, ModelConfig, RunConfig, field_types,
+from podfcr.config import (ABLATIONS, ConfigError, ModelConfig, RunConfig, field_types,
                            format_key_values, load_config, save_config)
 from podfcr.experiments import INPUT_VARIANTS, MODULE_VARIANTS
 from podfcr.model import CloudRemovalNet
@@ -65,7 +65,7 @@ class TestRunConfig:
         assert cfg.epochs == 200
 
     def test_round_trip(self, tmp_path):
-        cfg = RunConfig(seed=3, patch=16, no_gc=True, sar_input="both",
+        cfg = RunConfig(seed=3, patch=16, ablation="no_gc", sar_input="both",
                         learning_rate=1e-4)
         path = tmp_path / "run.cfg"
         save_config(cfg, path)
@@ -116,8 +116,27 @@ class TestRunConfig:
 
     def test_run_config_extends_model_config(self):
         assert not RunConfig.__annotations__.keys() & field_types(ModelConfig).keys()
-        assert len(field_types(ModelConfig)) == 9 and len(field_types(RunConfig)) == 23
-        assert type(RunConfig(patch=16, no_gc=True).model_config()) is ModelConfig
+        assert len(field_types(ModelConfig)) == 4 and len(field_types(RunConfig)) == 18
+        assert type(RunConfig(patch=16, ablation="no_gc").model_config()) is ModelConfig
+
+    def test_variants_set_their_own_model_fields(self):
+        # the user's config supplies width, patch and training fields, never
+        # the ablation or the radar input a variant trains
+        other = RunConfig(ablation="no_gc", sar_input="both")
+        for name, overrides in MODULE_VARIANTS + INPUT_VARIANTS:
+            if overrides is not None:
+                assert experiments.variant_config(other, name, overrides).model_config() == \
+                    experiments.variant_config(RunConfig(), name, overrides).model_config(), name
+
+    @pytest.mark.parametrize("ablation", ["no_scdf", "no_mmcf", "no_mmrf"])
+    def test_radar_module_ablation_of_optical_only_model_rejected(self, tmp_path, capsys,
+                                                                 ablation):
+        with pytest.raises(ConfigError, match=ablation):
+            ModelConfig(sar_input="none", ablation=ablation)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"sar_input = none\nablation = {ablation}\n")
+        assert cli_main(["train", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:config:")
 
     def test_readme_config_table_matches_schema(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -127,6 +146,9 @@ class TestRunConfig:
         keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
         assert len(keys) == len(set(keys))
         assert set(keys) == set(field_types(RunConfig))
+        ablation_row = next(line for line in section.splitlines()
+                            if line.startswith("| `ablation` |"))
+        assert re.findall(r"`(\w+)`", ablation_row.split("|")[3]) == list(ABLATIONS)
 
     def test_malformed_number_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -136,7 +158,7 @@ class TestRunConfig:
         assert err.startswith(f"error:config: {path}:2: seed:")
 
     @pytest.mark.parametrize("key,value", [("patch", 10), ("base_channels", 0), ("epochs", 0),
-                                           ("max_steps", -1)])
+                                           ("max_steps", -1), ("ablation", "no_gates")])
     def test_invalid_value_is_config_error(self, tiny_data, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(format_key_values({"patch": 16, "base_channels": 4, "epochs": 1,
@@ -366,7 +388,7 @@ class TestEvaluation:
             sample.mask[...] = 0.0
             sample.cloudy = sample.clean.copy()
             clear = [sample]
-        rows = evaluation.evaluate_samples(net, clear, cfg.sar_input)
+        rows = evaluation.evaluate_samples(net, clear)
         from podfcr import metrics
         assert metrics.aggregate(rows)["psnr"] == 100.0
 
@@ -416,6 +438,20 @@ class TestCli:
                          str(sample_dir / "pfsar.ptf"), "--out", str(out_path)]) == 0
         pred = read_tensor(out_path)
         assert pred.shape == (4, 16, 16)
+        capsys.readouterr()
+
+    def test_eval_takes_the_radar_input_from_the_checkpoint(self, tiny_data, tmp_path, capsys):
+        both = tiny_config(tiny_data, epochs=1, sar_input="both")
+        save_config(both, tmp_path / "both.cfg")
+        save_config(tiny_config(tiny_data, epochs=1), tmp_path / "pfsar.cfg")
+        assert cli_main(["train", "--config", str(tmp_path / "both.cfg")]) == 0
+        reports = []
+        for name in ("both", "pfsar"):
+            out = tmp_path / f"report_{name}.txt"
+            assert cli_main(["eval", "--config", str(tmp_path / f"{name}.cfg"),
+                             "--checkpoint", both.checkpoint_dir, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
         capsys.readouterr()
 
     def test_ablate_report_does_not_depend_on_worker_count(self, tiny_data, capsys,
@@ -513,7 +549,8 @@ class TestCli:
     DAMAGE = {"index_cut_in_adam": "adam.v.", "tensor_truncated": "truncated",
               "payload_byte_flipped": "CRC mismatch", "header_byte_flipped": "header CRC",
               "meta_unknown_key": "unknown key 'bogus'", "meta_cut": "missing keys",
-              "meta_bad_sar_input": "sar_input"}
+              "meta_bad_sar_input": "sar_input",
+              "meta_old_ablation_flags": "unknown key 'no_scdf'"}
 
     @pytest.mark.parametrize("damage", list(DAMAGE))
     def test_damaged_checkpoint_is_checkpoint_error(self, tiny_data, tmp_path, capsys, damage):
@@ -541,6 +578,10 @@ class TestCli:
             edit_header(path, lambda text: text.replace("\n\n", "\nbogus = 1\n\n", 1))
         elif damage == "meta_bad_sar_input":  # parses, but no ModelConfig accepts it
             edit_header(path, lambda text: text.replace("sar_input = pfsar", "sar_input = xyz"))
+        elif damage == "meta_old_ablation_flags":  # the header of a checkpoint from before
+            flags = ("no_scdf", "no_gc", "no_mmcf", "no_mmrf", "no_aspp", "scru_literal")
+            edit_header(path, lambda text: text.replace(
+                "ablation = full\n", "".join(f"{flag} = False\n" for flag in flags)))
         else:  # the magic line and two meta keys stay
             def cut(text):
                 meta, index = text.split("\n\n", 1)
@@ -585,19 +626,19 @@ class TestCli:
 
     def test_resume_into_other_ablation_is_checkpoint_error(self, tiny_data, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
-        save_config(tiny_config(tiny_data, epochs=1, no_scdf=False), cfg_path)
+        save_config(tiny_config(tiny_data, epochs=1), cfg_path)
         assert cli_main(["train", "--config", str(cfg_path)]) == 0
         saved = (tmp_path / "ckpt" / CHECKPOINT_FILE).read_bytes()
-        save_config(tiny_config(tiny_data, epochs=2, no_scdf=True), cfg_path)
+        save_config(tiny_config(tiny_data, epochs=2, ablation="no_scdf"), cfg_path)
         capsys.readouterr()
         code = cli_main(["train", "--config", str(cfg_path), "--resume"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:checkpoint:")
-        assert "no_scdf = " in captured.err
+        assert "ablation = " in captured.err
         assert (tmp_path / "ckpt" / CHECKPOINT_FILE).read_bytes() == saved  # no epoch trained
 
-    @pytest.mark.parametrize("key,value", [("scru_literal", True), ("seed", 7),
+    @pytest.mark.parametrize("key,value", [("sar_input", "both"), ("seed", 7),
                                            ("batch_size", 1)])
     def test_resume_with_other_config_is_checkpoint_error(self, tiny_data, tmp_path, capsys,
                                                           key, value):
