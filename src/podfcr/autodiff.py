@@ -21,18 +21,40 @@ because each closure object and its captured cells are garbage-collector
 work on every step. It accumulates rather than returning gradients, because
 perfbench's tracer wraps a node's ``_backward`` as a one-argument callable
 and discards its return value.
+
+Only pure numpy work may leave the calling thread: a large convolution's
+weight gradient runs on one worker thread while the calling thread computes
+the input gradient (see ``CONV_OVERLAP_MIN``). ``_give`` never leaves it. The
+closure waits for the worker's result and hands it to ``_give`` in the same
+order as the inline path, so every gradient is accumulated in one fixed
+order, only one thread ever writes a ``.grad``, and the tracer's spans, which
+must close in stack order, all open and close on the calling thread.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
+import contextvars
 import math
+import os
 
 import numpy as np
 
 _GRAD_ENABLED = True
 BN_MOMENTUM = 0.1   # weight of the batch statistics in each running-stat update
 BN_EPS = 1e-5       # added to the variance before its square root
+# A conv backward whose output gradient has at least this many elements
+# computes its weight gradient on a worker thread while the calling thread
+# computes the input gradient. The two read the same arrays and make the same
+# BLAS calls, so the bits do not change. Small gradients lose more to the
+# thread hand-off than the overlap gains. On 2 cores with one BLAS thread, a
+# 3x3 conv's two gradients took 0.32 ms inline and 0.41 ms overlapped at
+# (1,8,32,32), the largest at desk scale (8,192 elements), and a desk
+# backward with every conv on the worker ran 17% slower. At (2,64,16,16), the
+# smallest 3x3 conv at patch 64, width 16, batch 2 (32,768 elements), they
+# took 3.4 ms inline and 2.1 ms overlapped. The threshold sits between.
+CONV_OVERLAP_MIN = 16384
 
 
 @contextlib.contextmanager
@@ -447,6 +469,33 @@ def _conv_dx(dy: np.ndarray, w: np.ndarray, xh: int, xw: int, stride: int,
     return _col2im(tmp.transpose(0, 3, 4, 5, 1, 2), xh, xw, stride, dilation, pad)
 
 
+_WORKER: concurrent.futures.ThreadPoolExecutor | None = None
+
+
+def _in_worker(fn, *args) -> concurrent.futures.Future:
+    """Start ``fn(*args)`` on the one worker thread, created on first use.
+
+    ``fn`` runs in a copy of the caller's context, because numpy keeps its
+    ``np.errstate`` there and a pool thread would otherwise run under the
+    defaults. It must be pure numpy: perfbench's tracer closes its spans in
+    stack order, so nothing it wraps (a public op, ``_node``, ``_give``) may
+    run on the worker.
+    """
+    global _WORKER
+    if _WORKER is None:
+        _WORKER = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="podfcr-conv-dw")
+    return _WORKER.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _forget_worker() -> None:
+    global _WORKER
+    _WORKER = None
+
+
+# a forked child has no worker thread, only the parent's pool object
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _conv(op: str, x, weight, bias, stride: int, padding: int, dilation: int,
           transposed: bool) -> Tensor:
     """conv2d, or with ``transposed`` its adjoint conv_transpose2d.
@@ -482,12 +531,18 @@ def _conv(op: str, x, weight, bias, stride: int, padding: int, dilation: int,
 
     def bw(g):
         if transposed:
-            _give(x, lambda: _conv_fwd(g, weight.data, stride, padding, dilation))
-            _give(weight, lambda: _conv_dw(g, x.data, weight.shape[2:], stride, padding, dilation))
+            dx = lambda: _conv_fwd(g, weight.data, stride, padding, dilation)
+            dw_args = (g, x.data, weight.shape[2:], stride, padding, dilation)
         else:
-            _give(x, lambda: _conv_dx(g, weight.data, x.shape[2], x.shape[3], stride, padding,
-                                      dilation))
-            _give(weight, lambda: _conv_dw(x.data, g, weight.shape[2:], stride, padding, dilation))
+            dx = lambda: _conv_dx(g, weight.data, x.shape[2], x.shape[3], stride, padding,
+                                  dilation)
+            dw_args = (x.data, g, weight.shape[2:], stride, padding, dilation)
+        if x.requires_grad and weight.requires_grad and g.size >= CONV_OVERLAP_MIN:
+            dw = _in_worker(_conv_dw, *dw_args).result
+        else:
+            dw = lambda: _conv_dw(*dw_args)
+        _give(x, dx)
+        _give(weight, dw)
         if bias is not None:
             _give(bias, lambda: g.sum(axis=(0, 2, 3)))
 

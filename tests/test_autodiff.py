@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -280,18 +284,129 @@ class TestGradientRouting:
 
     def test_input_vjp_skipped_without_input_grad(self, rng, monkeypatch):
         calls = []
-        conv_dx = ad._conv_dx
+        conv_dx, in_worker = ad._conv_dx, ad._in_worker
 
         def counting_conv_dx(*args):
-            calls.append(1)
+            calls.append("dx")
             return conv_dx(*args)
 
+        def counting_in_worker(*args):
+            calls.append("worker")
+            return in_worker(*args)
+
         monkeypatch.setattr(ad, "_conv_dx", counting_conv_dx)
+        monkeypatch.setattr(ad, "_in_worker", counting_in_worker)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
-        for x_needs_grad, expected in ((False, 0), (True, 1)):
+        # with a zero threshold the conv would use the worker, but not without an input VJP
+        for x_needs_grad, overlap_min, expected in ((False, ad.CONV_OVERLAP_MIN, []),
+                                                    (True, ad.CONV_OVERLAP_MIN, ["dx"]),
+                                                    (False, 0, [])):
+            monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", overlap_min)
+            calls.clear()
             x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=x_needs_grad)
             ad.tsum(ad.conv2d(x, w, padding=1)).backward()
-            assert len(calls) == expected and (x.grad is not None) == x_needs_grad
+            assert calls == expected and (x.grad is not None) == x_needs_grad
+
+
+def conv_grads(op, x, w, b, c, kwargs):
+    """Gradients of sum(c * op(x, w, b)) for fresh leaves of the given arrays."""
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w) + ((b,) if b is not None else ())]
+    out = op(*leaves[:2], leaves[2] if b is not None else None, **kwargs)
+    ad.tsum(ad.mul(out, Tensor(c))).backward()
+    return [t.grad for t in leaves]
+
+
+# (op, input shape, weight shape, keyword arguments)
+CONV_FORMS = {
+    "3x3": (ad.conv2d, (2, 3, 9, 9), (4, 3, 3, 3), dict(padding=1)),
+    "4x4_stride2": (ad.conv2d, (2, 3, 8, 8), (4, 3, 4, 4), dict(stride=2, padding=1)),
+    "dilation2": (ad.conv2d, (2, 3, 9, 9), (4, 3, 3, 3), dict(padding=2, dilation=2)),
+    "1x1": (ad.conv2d, (2, 3, 7, 7), (4, 3, 1, 1), {}),
+    "transpose": (ad.conv_transpose2d, (2, 3, 5, 5), (3, 4, 4, 4), dict(stride=2, padding=1)),
+}
+
+
+class TestConvWorker:
+    """The weight gradient of a large conv runs on a worker thread; the bits
+    must be those of the inline path."""
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("form", list(CONV_FORMS))
+    def test_worker_matches_inline(self, rng, monkeypatch, form, bias):
+        op, x_shape, w_shape, kwargs = CONV_FORMS[form]
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        c_out = w_shape[1] if op is ad.conv_transpose2d else w_shape[0]
+        b = rng.normal(size=c_out) if bias else None
+        c = rng.normal(size=op(Tensor(x), Tensor(w), None, **kwargs).shape)
+        threads = []
+        conv_dw = ad._conv_dw
+
+        def recording_conv_dw(*args):
+            threads.append(threading.current_thread())
+            return conv_dw(*args)
+
+        monkeypatch.setattr(ad, "_conv_dw", recording_conv_dw)
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        on_worker = conv_grads(op, x, w, b, c, kwargs)
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", c.size + 1)
+        inline = conv_grads(op, x, w, b, c, kwargs)
+        assert threads[0] is not threading.main_thread()
+        assert threads[1] is threading.main_thread()
+        for a, ref in zip(on_worker, inline):
+            assert np.array_equal(a, ref)
+
+    @pytest.mark.parametrize("overlap_min", [0, 10 ** 9], ids=["worker", "inline"])
+    def test_floating_point_errors_cross_the_thread(self, rng, monkeypatch, overlap_min):
+        # the forward stays finite; only the weight gradient (c times x) overflows
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", overlap_min)
+        x = Tensor(1e200 * rng.random((1, 2, 6, 6)), requires_grad=True)
+        w = Tensor(1e-200 * rng.random((3, 2, 3, 3)), requires_grad=True)
+        loss = ad.tsum(ad.mul(ad.conv2d(x, w, padding=1), Tensor(1e200 * rng.random((1, 3, 6, 6)))))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            loss.backward()
+
+    def test_worker_exception_surfaces_and_worker_survives(self, rng, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        def failing_conv_dw(*args):
+            raise Boom("weight gradient failed")
+
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        x, w = rng.normal(size=(1, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3))
+        c = rng.normal(size=(1, 4, 6, 6))
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_conv_dw", failing_conv_dw)
+            with pytest.raises(Boom):
+                conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))
+        on_worker = conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 10 ** 9)
+        for a, ref in zip(on_worker, conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))):
+            assert np.array_equal(a, ref)
+
+    def test_forked_child_starts_its_own_worker(self, rng, monkeypatch):
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        x, w = rng.normal(size=(1, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3))
+        c = rng.normal(size=(1, 4, 6, 6))
+        conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))  # the parent's worker exists
+        pid = os.fork()
+        if pid == 0:  # child: a stale pool would queue the task forever
+            code = 1
+            try:
+                conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("backward in a forked child did not finish")
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestDeterminism:

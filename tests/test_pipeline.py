@@ -361,6 +361,27 @@ class TestTraining:
         assert any("step=3" in line for line in logs)
         assert not any("step=4" in line for line in logs)
 
+    def test_conv_worker_writes_the_inline_checkpoint(self, tmp_path, monkeypatch):
+        # desk-sized convs stay inline, so only a zero threshold sends them to the worker
+        build_dataset(0, 6, 16, tmp_path / "data")
+        submitted = []
+        in_worker = ad._in_worker
+
+        def counting_in_worker(*args):
+            submitted.append(1)
+            return in_worker(*args)
+
+        monkeypatch.setattr(ad, "_in_worker", counting_in_worker)
+        blobs, submits = [], []
+        for name, overlap_min in (("worker", 0), ("inline", ad.CONV_OVERLAP_MIN)):
+            monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", overlap_min)
+            submitted.clear()
+            train(tiny_config(tmp_path, checkpoint_dir=str(tmp_path / name)), log=lambda line: None)
+            blobs.append((tmp_path / name / CHECKPOINT_FILE).read_bytes())
+            submits.append(len(submitted))
+        assert submits[0] > 0 and submits[1] == 0
+        assert blobs[0] == blobs[1]
+
 
 class TestEvaluation:
     def test_report_row_counts(self, tiny_data):
