@@ -23,12 +23,17 @@ perfbench's tracer wraps a node's ``_backward`` as a one-argument callable
 and discards its return value.
 
 Only pure numpy work may leave the calling thread: a large convolution's
-weight gradient runs on one worker thread while the calling thread computes
-the input gradient (see ``CONV_OVERLAP_MIN``). ``_give`` never leaves it. The
-closure waits for the worker's result and hands it to ``_give`` in the same
-order as the inline path, so every gradient is accumulated in one fixed
-order, only one thread ever writes a ``.grad``, and the tracer's spans, which
-must close in stack order, all open and close on the calling thread.
+weight gradient runs on one worker thread (see ``CONV_OVERLAP_MIN``), and the
+conv's closure does not wait for it. It leaves the result in the walk's
+pending table and returns, so the calling thread goes on with the input
+gradient and the nodes after it. The order rule: a tensor's pending results
+are handed over, oldest first, before anything else is added to its gradient
+(``_give``), before its own closure reads that gradient, and at the end of
+the walk. Each tensor therefore sums the same contributions in the same order
+as the inline path, from the same BLAS calls, so the bits do not change.
+``_give`` never leaves the calling thread, so only one thread ever writes a
+``.grad``, and the tracer's spans, which must close in stack order, all open
+and close on the calling thread.
 """
 
 from __future__ import annotations
@@ -42,18 +47,21 @@ import os
 import numpy as np
 
 _GRAD_ENABLED = True
+# During Tensor.backward: id(weight) -> (weight, [future.result, ...]) for the
+# conv weight gradients still on the worker; None outside a walk.
+_PENDING: dict | None = None
 BN_MOMENTUM = 0.1   # weight of the batch statistics in each running-stat update
 BN_EPS = 1e-5       # added to the variance before its square root
 # A conv backward whose output gradient has at least this many elements
-# computes its weight gradient on a worker thread while the calling thread
-# computes the input gradient. The two read the same arrays and make the same
-# BLAS calls, so the bits do not change. Small gradients lose more to the
-# thread hand-off than the overlap gains. On 2 cores with one BLAS thread, a
-# 3x3 conv's two gradients took 0.32 ms inline and 0.41 ms overlapped at
-# (1,8,32,32), the largest at desk scale (8,192 elements), and a desk
-# backward with every conv on the worker ran 17% slower. At (2,64,16,16), the
-# smallest 3x3 conv at patch 64, width 16, batch 2 (32,768 elements), they
-# took 3.4 ms inline and 2.1 ms overlapped. The threshold sits between.
+# computes its weight gradient on the worker thread, while the calling thread
+# goes on with the input gradient and the nodes after it. The smallest 3x3
+# conv output gradient at patch 64, width 16, batch 2 has 32,768 elements, the
+# largest at desk scale 8,192. On 2 cores with one BLAS thread, a desk
+# backward with every conv deferred (threshold 0) gained nothing: 48.1, 51.9
+# and 58.7 ms against 46.6, 50.4 and 62.0 ms in three processes, faster in 27
+# of 60 alternating steps. A lower threshold would also start a second thread
+# in each ablation worker process, and the ablation runner already runs one
+# such process per core.
 CONV_OVERLAP_MIN = 16384
 
 
@@ -112,28 +120,40 @@ class Tensor:
 
         Fills ``.grad`` on the leaves that require it. Every non-leaf node is
         released as the walk passes it: its closure and parents are dropped
-        and its ``.grad`` is ``None`` afterwards.
+        and its ``.grad`` is ``None`` afterwards. A weight gradient left on the
+        worker lands when the walk ends, or earlier when another gradient for
+        the same tensor arrives; if the walk fails, it is dropped.
         """
         if self.data.size != 1:
             raise GraphError(f"backward() needs a scalar root, got shape {self.shape}")
         if self._consumed:
             raise GraphError("graph already consumed; rerun the forward pass before calling backward() again")
 
+        global _PENDING
         topo = _topo(self)
         self.grad = np.ones_like(self.data)
         self._consumed = True
-        # reverse topological order: every consumer of a node ran before it
-        while topo:
-            node = topo.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
-            if node._op != "leaf":
-                node.grad = None
-                node._consumed = True
-            elif not node.requires_grad:
-                node.grad = None
+        _PENDING = pending = {}
+        try:
+            # reverse topological order: every consumer of a node ran before it
+            while topo:
+                node = topo.pop()
+                if node._backward is not None:
+                    if pending and id(node) in pending:  # a computed weight
+                        _hand_over(node)
+                    if node.grad is not None:
+                        node._backward(node.grad)
+                node._backward = None
+                node._parents = ()
+                if node._op != "leaf":
+                    node.grad = None
+                    node._consumed = True
+                elif not node.requires_grad:
+                    node.grad = None
+            for t, _ in list(pending.values()):
+                _hand_over(t)
+        finally:
+            _PENDING = None  # a failed walk's results never reach a later walk
 
 
 def _topo(root: Tensor) -> list[Tensor]:
@@ -177,10 +197,12 @@ def _give(t: Tensor, vjp) -> None:
     broadcast result is summed back down to ``t``'s shape. The first gradient
     is stored as is when it is a float64 array that owns its buffer and copied
     otherwise, so a grad is never a view into another array; later gradients
-    are added.
+    are added. Deferred weight gradients of ``t`` are handed over first.
     """
     if not t.requires_grad:
         return
+    if _PENDING and id(t) in _PENDING:
+        _hand_over(t)
     g = vjp()
     shape = t.data.shape
     if g.shape != shape:
@@ -194,6 +216,17 @@ def _give(t: Tensor, vjp) -> None:
         t.grad = g if g.base is None and g.dtype == np.float64 else np.array(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
+
+
+def _defer(t: Tensor, result) -> None:
+    """Queue a worker's ``result`` for ``t`` in the walk's pending table."""
+    _PENDING.setdefault(id(t), (t, []))[1].append(result)
+
+
+def _hand_over(t: Tensor) -> None:
+    """Give ``t`` its pending weight gradients, oldest first, waiting for each."""
+    for result in _PENDING.pop(id(t))[1]:
+        _give(t, result)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +571,11 @@ def _conv(op: str, x, weight, bias, stride: int, padding: int, dilation: int,
                                   dilation)
             dw_args = (x.data, g, weight.shape[2:], stride, padding, dilation)
         if x.requires_grad and weight.requires_grad and g.size >= CONV_OVERLAP_MIN:
-            dw = _in_worker(_conv_dw, *dw_args).result
+            dw, give_w = _in_worker(_conv_dw, *dw_args).result, _defer
         else:
-            dw = lambda: _conv_dw(*dw_args)
+            dw, give_w = (lambda: _conv_dw(*dw_args)), _give
         _give(x, dx)
-        _give(weight, dw)
+        give_w(weight, dw)
         if bias is not None:
             _give(bias, lambda: g.sum(axis=(0, 2, 3)))
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from podfcr import autodiff as ad
+from podfcr import autodiff as ad, nn
 from podfcr.autodiff import GraphError, ShapeError, Tensor
 from podfcr.gradcheck import gradcheck
 
@@ -382,6 +382,85 @@ class TestConvWorker:
         on_worker = conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))
         monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 10 ** 9)
         for a, ref in zip(on_worker, conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))):
+            assert np.array_equal(a, ref)
+
+    def test_shared_weight_sums_in_the_inline_order(self, rng, monkeypatch):
+        # w also feeds a mul whose output is the first conv's input, so the walk
+        # reaches the mul after both convs; its gradient must land after theirs
+        w, cw = rng.normal(size=(4, 4, 3, 3)), rng.normal(size=(4, 4, 3, 3))
+        c = rng.normal(size=(1, 4, 12, 3))
+        deferred = []
+        defer = ad._defer
+        monkeypatch.setattr(ad, "_defer", lambda t, result: (deferred.append(t), defer(t, result)))
+
+        def weight_grad():
+            wt = Tensor(w, requires_grad=True)
+            h = ad.reshape(ad.mul(wt, Tensor(cw)), (1, 4, 12, 3))
+            y = ad.conv2d(ad.conv2d(h, wt, padding=1), wt, padding=1)
+            ad.tsum(ad.mul(y, Tensor(c))).backward()
+            return wt.grad
+
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        on_worker = weight_grad()
+        assert len(deferred) == 2
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", c.size + 1)
+        assert np.array_equal(on_worker, weight_grad())
+        assert len(deferred) == 2
+
+    def test_computed_weight_is_whole_before_its_closure_runs(self, rng, monkeypatch):
+        x, w = rng.normal(size=(1, 3, 6, 6)), rng.normal(size=(3, 3, 3, 3))
+        c = rng.normal(size=(1, 3, 6, 6))
+
+        def grads():
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            half = ad.scale(wt, 0.5)  # a non-leaf weight shared by two convs
+            y = ad.conv2d(ad.conv2d(xt, half, padding=1), half, padding=1)
+            ad.tsum(ad.mul(y, Tensor(c))).backward()
+            assert half.grad is None
+            return xt.grad, wt.grad
+
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        on_worker = grads()
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", c.size + 1)
+        for a, ref in zip(on_worker, grads()):
+            assert np.array_equal(a, ref)
+
+    def test_failed_walk_drops_its_pending_results(self, rng, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        queued = []
+
+        def failing_closure(g):
+            queued.append(id(conv.weight) in ad._PENDING)
+            raise Boom("closure failed")
+
+        conv = nn.Conv2d(rng, 3, 4)
+        x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
+        c = Tensor(rng.normal(size=(1, 4, 6, 6)))
+
+        def loss(fail=False):
+            h = ad.scale(x, 2.0)  # the walk reaches it after the conv
+            if fail:
+                h._backward = failing_closure
+            return ad.tsum(ad.mul(conv(h), c))
+
+        def grads():
+            x.grad = None
+            conv.zero_grad()
+            loss().backward()
+            return x.grad, conv.weight.grad, conv.bias.grad
+
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        with pytest.raises(Boom):
+            loss(fail=True).backward()
+        assert queued == [True]
+        assert ad._PENDING is None
+        ad._in_worker(lambda: None).result()  # the failed walk's weight gradient is done
+        assert conv.weight.grad is None
+        on_worker = grads()
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 10 ** 9)
+        for a, ref in zip(on_worker, grads()):
             assert np.array_equal(a, ref)
 
     def test_forked_child_starts_its_own_worker(self, rng, monkeypatch):
