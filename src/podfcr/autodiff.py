@@ -22,6 +22,19 @@ work on every step. It accumulates rather than returning gradients, because
 perfbench's tracer wraps a node's ``_backward`` as a one-argument callable
 and discards its return value.
 
+A fused op (``batch_norm`` in training mode, ``filter_normalize``,
+``linear`` and ``tap_sum``) records one node for a chain of elementary ops
+and keeps only the chain's inputs and output; its closure recomputes the
+intermediates it needs. It replays the chain's VJP expressions exactly as the
+chain writes them, in the chain's reverse topological order: a gradient that
+passes between the chain's own steps is summed to that step's shape with
+``_sum_to``, as ``_give`` would, a term the chain adds twice is added twice,
+and an input the chain hands two gradients gets two ``_give`` calls in the
+same order. So every gradient has the chain's bits. It never writes in place
+into an array it has passed to ``_give``, because ``_give`` may keep that
+array as a gradient, and ``add`` hands one array to both of its parents. The
+chains stay in ``tests/conftest.py`` as the oracles of the fused ops.
+
 Only pure numpy work may leave the calling thread: a large convolution's
 weight gradient runs on one worker thread (see ``CONV_OVERLAP_MIN``), and the
 conv's closure does not wait for it. It leaves the result in the walk's
@@ -190,21 +203,9 @@ def _node(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:
     return out
 
 
-def _give(t: Tensor, vjp) -> None:
-    """Route a gradient to parent ``t``; every op's backward goes through here.
-
-    ``vjp`` is a thunk, called only when ``t`` requires a gradient. A
-    broadcast result is summed back down to ``t``'s shape. The first gradient
-    is stored as is when it is a float64 array that owns its buffer and copied
-    otherwise, so a grad is never a view into another array; later gradients
-    are added. Deferred weight gradients of ``t`` are handed over first.
-    """
-    if not t.requires_grad:
-        return
-    if _PENDING and id(t) in _PENDING:
-        _hand_over(t)
-    g = vjp()
-    shape = t.data.shape
+def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient ``g`` back down to ``shape``: first the
+    leading axes ``shape`` lacks, then its size-1 axes that ``g`` spreads."""
     if g.shape != shape:
         extra = g.ndim - len(shape)
         if extra > 0:
@@ -212,6 +213,24 @@ def _give(t: Tensor, vjp) -> None:
         axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
         if axes:
             g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def _give(t: Tensor, vjp) -> None:
+    """Route a gradient to parent ``t``; every op's backward goes through here.
+
+    ``vjp`` is a thunk, called only when ``t`` requires a gradient. A
+    broadcast result is summed back down to ``t``'s shape by ``_sum_to``. The
+    first gradient is stored as is when it is a float64 array that owns its
+    buffer and copied otherwise, so a grad is never a view into another array;
+    later gradients are added. Deferred weight gradients of ``t`` are handed
+    over first.
+    """
+    if not t.requires_grad:
+        return
+    if _PENDING and id(t) in _PENDING:
+        _hand_over(t)
+    g = _sum_to(vjp(), t.data.shape)
     if t.grad is None:
         t.grad = g if g.base is None and g.dtype == np.float64 else np.array(g, dtype=np.float64)
     else:
@@ -642,8 +661,24 @@ def global_avg_pool(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# normalization
 # ---------------------------------------------------------------------------
+
+def _normalize_vjp(t: Tensor, g_n: np.ndarray, centered: np.ndarray, sd: np.ndarray,
+                   den: np.ndarray, count: int) -> None:
+    """Give ``t`` the gradient of ``n = c / den`` from ``g_n``, replaying the
+    VJPs of ``c = sub(t, tmean(t))``, ``sd = sqrt(tmean(mul(c, c)))`` and
+    ``div(c, den)``, where ``den`` is ``sd`` plus a constant, before or after
+    the square root; ``count`` entries share each of ``den``'s statistics."""
+    g_c = g_n / den
+    g_var = _sum_to(-g_n * centered / (den * den), den.shape) * (0.5 / sd)
+    g_sq = np.broadcast_to(g_var / count, t.shape).copy()
+    g_c = g_c + g_sq * centered  # mul(c, c) hands c two equal terms
+    g_c = g_c + g_sq * centered
+    _give(t, lambda: g_c)
+    g_m = _sum_to(-g_c, den.shape)
+    _give(t, lambda: np.broadcast_to(g_m / count, t.shape).copy())
+
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
                training: bool) -> Tensor:
@@ -652,6 +687,10 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     Training mode normalizes with the biased batch variance and folds the
     batch statistics into the running buffers with weight ``BN_MOMENTUM``;
     eval mode uses the buffers. Both add ``BN_EPS`` to the variance.
+    Training mode records one fused node (see the op contract) that replays
+    the VJPs of the chain
+    ``add(mul(g4, div(c, sqrt(add(tmean(mul(c, c)), eps)))), b4)`` with
+    ``c = sub(x, tmean(x))``; eval mode records that chain over the buffers.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
@@ -659,24 +698,106 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm: gamma/beta must have shape ({c},)")
-    g4 = reshape(gamma, (1, c, 1, 1))
-    b4 = reshape(beta, (1, c, 1, 1))
-    if training:
-        m = tmean(x, axis=(0, 2, 3), keepdims=True)
-        centered = sub(x, m)
-        var = tmean(mul(centered, centered), axis=(0, 2, 3), keepdims=True)
-        xhat = div(centered, sqrt(add(var, BN_EPS)))
-        n = x.shape[0] * x.shape[2] * x.shape[3]
-        unbias = n / (n - 1) if n > 1 else 1.0
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * m.data.reshape(c)
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * unbias * var.data.reshape(c)
-    else:
-        rm = Tensor(running_mean.reshape(1, c, 1, 1).copy())
-        rv = Tensor(running_var.reshape(1, c, 1, 1).copy())
+    shape4 = (1, c, 1, 1)
+    if not training:
+        rm = Tensor(running_mean.reshape(shape4).copy())
+        rv = Tensor(running_var.reshape(shape4).copy())
         xhat = div(sub(x, rm), sqrt(add(rv, BN_EPS)))
-    return add(mul(g4, xhat), b4)
+        return add(mul(reshape(gamma, shape4), xhat), reshape(beta, shape4))
+
+    axes = (0, 2, 3)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+
+    def stats():
+        m = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - m
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        return m, centered, var, np.sqrt(var + BN_EPS)
+
+    m, centered, var, sd = stats()
+    y = gamma.data.reshape(shape4) * (centered / sd) + beta.data.reshape(shape4)
+    unbias = n / (n - 1) if n > 1 else 1.0
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * m.reshape(c)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * unbias * var.reshape(c)
+
+    def bw(g):
+        _, centered, _, sd = stats()
+        _give(beta, lambda: _sum_to(g, shape4).reshape(c))
+        _give(gamma, lambda: _sum_to(g * (centered / sd), shape4).reshape(c))
+        if x.requires_grad:
+            _normalize_vjp(x, g * gamma.data.reshape(shape4), centered, sd, sd, n)
+
+    return _node(y, (x, gamma, beta), bw, "batch_norm")
+
+
+def filter_normalize(raw, alpha, beta, eps: float) -> Tensor:
+    """``alpha * c / (sd + eps) + beta`` over the trailing two (kernel) axes,
+    with ``c`` the centred ``raw`` and ``sd`` its biased standard deviation.
+
+    One fused node replaying the VJPs of the chain
+    ``add(mul(alpha, div(c, add(sqrt(tmean(mul(c, c))), eps))), beta)`` with
+    ``c = sub(raw, tmean(raw))``.
+    """
+    raw, alpha, beta = as_tensor(raw), as_tensor(alpha), as_tensor(beta)
+    axes = (-2, -1)
+    count = raw.shape[-2] * raw.shape[-1]
+
+    def normalize():
+        centered = raw.data - raw.data.mean(axis=axes, keepdims=True)
+        sd = np.sqrt((centered * centered).mean(axis=axes, keepdims=True))
+        den = sd + eps
+        return centered, sd, den, centered / den
+
+    def bw(g):
+        centered, sd, den, normed = normalize()
+        _give(beta, lambda: g)
+        _give(alpha, lambda: g * normed)
+        if raw.requires_grad:
+            _normalize_vjp(raw, _sum_to(g * alpha.data, raw.shape), centered, sd, den, count)
+
+    normed = normalize()[3]
+    return _node(alpha.data * normed + beta.data, (raw, alpha, beta), bw, "filter_normalize")
+
+
+# ---------------------------------------------------------------------------
+# fused products
+# ---------------------------------------------------------------------------
+
+def linear(x, weight, bias) -> Tensor:
+    """``x @ weight.T + bias`` for ``x`` of shape (B, in_features), as one
+    fused node replaying ``add(matmul(x, transpose(weight, (1, 0))), bias)``."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if x.ndim != 2 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"linear: input {x.shape} does not fit weight {weight.shape}")
+
+    def transposed():  # transpose's output, so each GEMM sees the chain's layout
+        return np.ascontiguousarray(weight.data.transpose((1, 0)))
+
+    def bw(g):
+        _give(bias, lambda: g)
+        _give(x, lambda: np.matmul(g, _swap_last(transposed())))
+        _give(weight, lambda: np.matmul(_swap_last(x.data), g).transpose((1, 0)))
+
+    return _node(np.matmul(x.data, transposed()) + bias.data, (x, weight, bias), bw, "linear")
+
+
+def tap_sum(patches, spatial, channel) -> Tensor:
+    """``sum_j patches[:, :, j] * spatial[:, :, j] * channel[:, :, j]`` over
+    the tap axis 2, the three broadcasting against each other; one fused node
+    replaying ``tsum(mul(mul(patches, spatial), channel), axis=2)``."""
+    patches, spatial, channel = as_tensor(patches), as_tensor(spatial), as_tensor(channel)
+
+    def bw(g):
+        g = np.expand_dims(g, 2)  # tsum's broadcast copy left as a broadcast: same values
+        g_ps = g * channel.data
+        _give(channel, lambda: g * (patches.data * spatial.data))
+        _give(patches, lambda: g_ps * spatial.data)
+        _give(spatial, lambda: g_ps * patches.data)
+
+    out = (patches.data * spatial.data * channel.data).sum(axis=2)
+    return _node(out, (patches, spatial, channel), bw, "tap_sum")
 
 
 def first_nonfinite_op(root: Tensor, named_parameters=()) -> str | None:
@@ -684,8 +805,8 @@ def first_nonfinite_op(root: Tensor, named_parameters=()) -> str | None:
 
     Given the ``(name, parameter)`` pairs of a module, the name also gives the
     parameter nearest to that op upstream on the tape, as in
-    ``"sar_rb3.filters.0.fn_channel.alpha via div"``, or ``"leaf <name>"`` when
-    that parameter itself is non-finite.
+    ``"sar_rb3.filters.0.fn_channel.alpha via filter_normalize"``, or
+    ``"leaf <name>"`` when that parameter itself is non-finite.
     """
     node = next((t for t in _topo(root) if not np.all(np.isfinite(t.data))), None)
     if node is None:

@@ -129,7 +129,7 @@ class Linear(Module):
         self.bias = zeros_param(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, ad.transpose(self.weight, (1, 0))), self.bias)
+        return ad.linear(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):
@@ -188,12 +188,9 @@ class FilterNorm(Module):
 
 
 def filter_normalize(raw: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
-    """Functional form of FilterNorm over the trailing k*k kernel axes."""
-    m = ad.tmean(raw, axis=(-2, -1), keepdims=True)
-    centered = ad.sub(raw, m)
-    var = ad.tmean(ad.mul(centered, centered), axis=(-2, -1), keepdims=True)
-    normed = ad.div(centered, ad.add(ad.sqrt(var), FILTER_NORM_EPS))
-    return ad.add(ad.mul(alpha, normed), beta)
+    """Functional form of FilterNorm over the trailing k*k kernel axes, one
+    fused tape node (``ad.filter_normalize``)."""
+    return ad.filter_normalize(raw, alpha, beta, FILTER_NORM_EPS)
 
 
 def delta_kernel(k: int) -> np.ndarray:
@@ -258,7 +255,10 @@ def scdf_apply(x: Tensor, spatial: Tensor, channel: Tensor) -> Tensor:
     """Apply a predicted filter bank: out(i,m) = sum_j Dsp_i[j] Dch_m[j] x(j,m).
 
     ``spatial`` is (N,1,k,k,H,W); ``channel`` is (C,k,k) or (N,C,k,k) and
-    broadcasts over pixels. k must be odd; padding keeps the shape.
+    broadcasts over pixels. k must be odd; padding keeps the shape. The tap
+    product is one fused node, ``ad.tap_sum``.
+    ``unfold`` stays its own node: folded in, it would hand x its gradient at
+    another point of the walk, and x's sum would change its rounding.
     """
     x = ad.as_tensor(x)
     spatial, channel = ad.as_tensor(spatial), ad.as_tensor(channel)
@@ -272,7 +272,7 @@ def scdf_apply(x: Tensor, spatial: Tensor, channel: Tensor) -> Tensor:
     sp = ad.reshape(spatial, (n, 1, k * k, h, w))
     ch_shape = (1, c, k * k, 1, 1) if channel.ndim == 3 else (n, c, k * k, 1, 1)
     ch = ad.reshape(channel, ch_shape)
-    return ad.tsum(ad.mul(ad.mul(patches, sp), ch), axis=2)
+    return ad.tap_sum(patches, sp, ch)
 
 
 def _residual_call(block: Module, x: Tensor) -> Tensor:

@@ -1,8 +1,13 @@
 """Shared oracles: naive reference implementations kept independent of the
-library's vectorized code paths."""
+library's vectorized code paths, and the op chains that the fused tape ops
+replace (``chain_*``), each recording one tape node per elementary op."""
 
 import numpy as np
 import pytest
+
+from podfcr import autodiff as ad
+from podfcr.autodiff import BN_EPS, Tensor
+from podfcr.nn import FILTER_NORM_EPS
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=1, dilation=1):
@@ -60,6 +65,57 @@ def naive_matmul(a, b):
             for t in range(k):
                 out[i, j] += a[i, t] * b[t, j]
     return out
+
+
+def chain_filter_normalize(raw, alpha, beta):
+    """nn.filter_normalize as the chain of elementary ops it fuses."""
+    m = ad.tmean(raw, axis=(-2, -1), keepdims=True)
+    centered = ad.sub(raw, m)
+    var = ad.tmean(ad.mul(centered, centered), axis=(-2, -1), keepdims=True)
+    normed = ad.div(centered, ad.add(ad.sqrt(var), FILTER_NORM_EPS))
+    return ad.add(ad.mul(alpha, normed), beta)
+
+
+def chain_batch_norm(x, gamma, beta, running_mean, running_var, training):
+    """ad.batch_norm as the chain of elementary ops it fuses in training mode."""
+    x, gamma, beta = ad.as_tensor(x), ad.as_tensor(gamma), ad.as_tensor(beta)
+    c = x.shape[1]
+    g4 = ad.reshape(gamma, (1, c, 1, 1))
+    b4 = ad.reshape(beta, (1, c, 1, 1))
+    if training:
+        m = ad.tmean(x, axis=(0, 2, 3), keepdims=True)
+        centered = ad.sub(x, m)
+        var = ad.tmean(ad.mul(centered, centered), axis=(0, 2, 3), keepdims=True)
+        xhat = ad.div(centered, ad.sqrt(ad.add(var, BN_EPS)))
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        unbias = n / (n - 1) if n > 1 else 1.0
+        running_mean *= 1.0 - ad.BN_MOMENTUM
+        running_mean += ad.BN_MOMENTUM * m.data.reshape(c)
+        running_var *= 1.0 - ad.BN_MOMENTUM
+        running_var += ad.BN_MOMENTUM * unbias * var.data.reshape(c)
+    else:
+        rm = Tensor(running_mean.reshape(1, c, 1, 1).copy())
+        rv = Tensor(running_var.reshape(1, c, 1, 1).copy())
+        xhat = ad.div(ad.sub(x, rm), ad.sqrt(ad.add(rv, BN_EPS)))
+    return ad.add(ad.mul(g4, xhat), b4)
+
+
+def chain_scdf_apply(x, spatial, channel):
+    """nn.scdf_apply with its tap product as a chain (no shape checks)."""
+    x = ad.as_tensor(x)
+    spatial, channel = ad.as_tensor(spatial), ad.as_tensor(channel)
+    n, c, h, w = x.shape
+    k = spatial.shape[2]
+    patches = ad.unfold(x, kernel=k)
+    sp = ad.reshape(spatial, (n, 1, k * k, h, w))
+    ch_shape = (1, c, k * k, 1, 1) if channel.ndim == 3 else (n, c, k * k, 1, 1)
+    ch = ad.reshape(channel, ch_shape)
+    return ad.tsum(ad.mul(ad.mul(patches, sp), ch), axis=2)
+
+
+def chain_linear(x, weight, bias):
+    """ad.linear as the chain of elementary ops it fuses."""
+    return ad.add(ad.matmul(x, ad.transpose(weight, (1, 0))), bias)
 
 
 def dilate_kernel(w, dilation):

@@ -1,0 +1,165 @@
+"""Fused tape ops against the op chains they replace (``conftest.chain_*``).
+
+Each fused op records one node whose VJP replays its chain's VJPs in the
+chain's order, so outputs, gradients and whole training steps must match the
+chain bit for bit, not merely within a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from podfcr import autodiff as ad
+from podfcr import losses, nn
+from podfcr.autodiff import Tensor
+from podfcr.config import RunConfig
+from podfcr.synthetic import make_sample
+from podfcr.training import build_net_and_optimizer, make_batch, train_step
+
+from conftest import chain_batch_norm, chain_filter_normalize, chain_linear, chain_scdf_apply
+
+SCDF_TO_KERNEL_LAST = (0, 1, 4, 5, 2, 3)   # nn.SCDF.predict's transpose, its own inverse
+
+
+def op_nodes(root):
+    return [t._op for t in ad._topo(root) if t._op != "leaf"]
+
+
+def run(fn, arrays, grads=None, post=None):
+    """Output, leaf gradients and op names of ``fn`` on fresh leaves of ``arrays``.
+
+    ``grads`` says which leaves require a gradient (all by default); ``post``
+    maps the output before the weighted-sum loss, so the op's output gradient
+    can arrive in another memory layout, as it does inside the network.
+    """
+    grads = grads or [True] * len(arrays)
+    leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, grads)]
+    out = fn(*leaves)
+    nodes = op_nodes(out)
+    y = post(out) if post else out
+    weights = np.random.default_rng(1).normal(size=y.shape)
+    ad.tsum(ad.mul(y, Tensor(weights))).backward()
+    return out.data, [t.grad for t in leaves], nodes
+
+
+def assert_same(fused, chain):
+    out, grads, _ = fused
+    ref, ref_grads, _ = chain
+    assert np.array_equal(out, ref)
+    for g, r in zip(grads, ref_grads):
+        assert (g is None) == (r is None)
+        if g is not None:
+            assert np.array_equal(g, r)
+
+
+class TestFilterNormalize:
+    @pytest.mark.parametrize("grads", [None, [False, True, True]], ids=["all", "no-raw"])
+    def test_spatial_bank_with_scalar_alpha(self, rng, grads):
+        # (N, 1, H, W, k, k) as nn.SCDF.predict builds it: transposed in and out
+        raw = rng.normal(size=(2, 1, 3, 9, 9, 4)).transpose(SCDF_TO_KERNEL_LAST)
+        arrays = [np.ascontiguousarray(raw), rng.normal(size=1), rng.normal(size=1)]
+
+        def fn(op):
+            return lambda r, a, b: op(ad.transpose(r, SCDF_TO_KERNEL_LAST), a, b)
+
+        post = lambda y: ad.transpose(y, SCDF_TO_KERNEL_LAST)
+        fused = run(fn(nn.filter_normalize), arrays, grads, post)
+        assert_same(fused, run(fn(chain_filter_normalize), arrays, grads, post))
+        assert fused[2] == ["transpose", "filter_normalize"]
+
+    def test_channel_bank_with_per_channel_alpha(self, rng):
+        arrays = [rng.normal(size=(2, 5, 3, 3)), rng.normal(size=(5, 1, 1)),
+                  rng.normal(size=(5, 1, 1))]
+        fused = run(nn.filter_normalize, arrays)
+        assert_same(fused, run(chain_filter_normalize, arrays))
+        assert fused[2] == ["filter_normalize"]
+
+
+class TestScdfApply:
+    @pytest.mark.parametrize("per_sample", [False, True], ids=["(C,k,k)", "(N,C,k,k)"])
+    def test_tap_product(self, rng, per_sample):
+        n, c, h, w = 2, 3, 5, 6
+        channel = (n, c, 3, 3) if per_sample else (c, 3, 3)
+        arrays = [rng.normal(size=(n, c, h, w)), rng.normal(size=(n, 1, 3, 3, h, w)),
+                  rng.normal(size=channel)]
+        fused = run(nn.scdf_apply, arrays)
+        assert_same(fused, run(chain_scdf_apply, arrays))
+        assert fused[2] == ["unfold", "reshape", "reshape", "tap_sum"]
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("grads", [None, [False, True, True]], ids=["all", "no-x"])
+    def test_training_mode(self, rng, n, grads):
+        arrays = [rng.normal(1.0, 2.0, size=(n, 3, 4, 5)), 1.0 + 0.1 * rng.normal(size=3),
+                  rng.normal(size=3)]
+        rm, rv = rng.normal(size=3), 1.0 + rng.uniform(size=3)
+        buffers = {}
+
+        def fn(op):
+            buffers[op] = (rm.copy(), rv.copy())
+            return lambda x, g, b: op(x, g, b, *buffers[op], training=True)
+
+        fused = run(fn(ad.batch_norm), arrays, grads)
+        assert_same(fused, run(fn(chain_batch_norm), arrays, grads))
+        assert fused[2] == ["batch_norm"]
+        for a, b in zip(buffers[ad.batch_norm], buffers[chain_batch_norm]):
+            assert np.array_equal(a, b)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_matmul_transpose_add(self, rng, batch):
+        arrays = [rng.normal(size=(batch, 6)), rng.normal(size=(4, 6)), rng.normal(size=4)]
+        fused = run(ad.linear, arrays)
+        assert_same(fused, run(chain_linear, arrays))
+        assert fused[2] == ["linear"]
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 6)])
+    def test_input_that_does_not_fit_the_weight_is_a_shape_error(self, shape):
+        with pytest.raises(ad.ShapeError, match="linear"):
+            ad.linear(Tensor(np.zeros(shape)), Tensor(np.zeros((4, 6))), Tensor(np.zeros(4)))
+
+
+def use_chains(monkeypatch):
+    monkeypatch.setattr(nn, "filter_normalize", chain_filter_normalize)
+    monkeypatch.setattr(nn, "scdf_apply", chain_scdf_apply)
+    monkeypatch.setattr(ad, "linear", chain_linear)
+    monkeypatch.setattr(ad, "batch_norm", chain_batch_norm)
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_gc"])
+def test_training_steps_match_the_chains(monkeypatch, ablation):
+    """Two optimizer steps of a dual model, fused and with every chain patched
+    back in: a shift in the walk order would show here, not in one op."""
+    cfg = RunConfig(seed=3, patch=16, base_channels=4, batch_size=2, ablation=ablation)
+    batch = make_batch([make_sample(0, i, cfg.patch) for i in range(2)], cfg.sar_input)
+
+    def states():
+        net, optimizer = build_net_and_optimizer(cfg)
+        for _ in range(2):
+            train_step(net, optimizer, batch, cfg)
+        return net.state_dict(), optimizer.state_dict()
+
+    fused = states()
+    with monkeypatch.context() as m:
+        use_chains(m)
+        chain = states()
+    for got, ref in zip(fused, chain):
+        assert got.keys() == ref.keys()
+        for key in ref:
+            assert np.array_equal(got[key], ref[key]), key
+
+
+# Op nodes of one desk-shape (patch 32, width 8, batch 1) training forward and
+# loss. Each fused op is one node where its chain was 3 to 11, so a fused op
+# that falls back to its chain raises this count and with it the tape's RSS.
+DESK_TAPE_OP_NODES = 602
+
+
+def test_desk_tape_op_node_count():
+    cfg = RunConfig(seed=0, patch=32, base_channels=8, batch_size=1)
+    net, _ = build_net_and_optimizer(cfg)
+    cloudy, clean, mask, sar = make_batch([make_sample(0, 0, cfg.patch)], cfg.sar_input)
+    pred = net.forward(cloudy, sar, training=True)
+    total = losses.loss_total(pred, clean, mask, cfg.lambda_local, cfg.lambda_ssim)
+    assert len(op_nodes(total)) == DESK_TAPE_OP_NODES

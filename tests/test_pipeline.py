@@ -328,7 +328,8 @@ class TestTraining:
         loss = ad.tsum(ad.mul(bad, bad))
         assert ad.first_nonfinite_op(loss) == "div"
 
-    @pytest.mark.parametrize("value,culprit", [(np.nan, "leaf {}"), (1e308, "{} via mul")])
+    @pytest.mark.parametrize("value,culprit",
+                             [(np.nan, "leaf {}"), (1e308, "{} via filter_normalize")])
     def test_divergence_names_the_nearest_parameter(self, tiny_data, value, culprit):
         cfg = tiny_config(tiny_data, epochs=1)
         net, optimizer = build_net_and_optimizer(cfg)
