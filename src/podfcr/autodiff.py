@@ -35,12 +35,20 @@ into an array it has passed to ``_give``, because ``_give`` may keep that
 array as a gradient, and ``add`` hands one array to both of its parents. The
 chains stay in ``tests/conftest.py`` as the oracles of the fused ops.
 
-Only pure numpy work may leave the calling thread: a large convolution's
-weight gradient runs on one worker thread (see ``CONV_OVERLAP_MIN``), and the
-conv's closure does not wait for it. It leaves the result in the walk's
-pending table and returns, so the calling thread goes on with the input
-gradient and the nodes after it. The order rule: a tensor's pending results
-are handed over, oldest first, before anything else is added to its gradient
+Only pure numpy work may leave the calling thread, for one worker thread
+(see ``CONV_OVERLAP_MIN``), in two places. Outside a backward walk, a large
+convolution forward computes one half of its output there (split along the
+batch, or along a lone sample's output rows) while the calling thread
+computes the other; each half gathers its own patches and makes its own GEMM,
+and the calling thread waits for both. Each output element sums the same
+products in the same order as in one GEMM (see ``_SMALL_GEMM_MACS``), so the
+bits do not change. Inside a walk nothing splits: the stride-1 input gradient
+calls the forward, and the worker's queue then holds weight gradients. A
+large convolution's weight gradient runs on the worker, and the conv's
+closure does not wait for it. It leaves the result in the walk's pending
+table and returns, so the calling thread goes on with the input gradient and
+the nodes after it. The order rule: a tensor's pending results are handed
+over, oldest first, before anything else is added to its gradient
 (``_give``), before its own closure reads that gradient, and at the end of
 the walk. Each tensor therefore sums the same contributions in the same order
 as the inline path, from the same BLAS calls, so the bits do not change.
@@ -74,8 +82,21 @@ BN_EPS = 1e-5       # added to the variance before its square root
 # and 58.7 ms against 46.6, 50.4 and 62.0 ms in three processes, faster in 27
 # of 60 alternating steps. A lower threshold would also start a second thread
 # in each ablation worker process, and the ablation runner already runs one
-# such process per core.
+# such process per core. A conv forward outside a walk splits when each of
+# its two halves has this many output elements, since each half pays the
+# hand-off. With ``_SMALL_GEMM_MACS`` no desk forward splits at batch 1, 2 or
+# 3 even at half this threshold. At patch 64, width 16, half of it would
+# split 100 of the 147 convs of a batch-1 forward in place of 54, for a
+# no-grad forward of 121.6 against 125.3 ms (faster in 16 of 20
+# alternations); at batch 2 the same 128 convs split either way.
 CONV_OVERLAP_MIN = 16384
+# A split conv forward gives the bits of the whole one only while every GEMM
+# it makes runs the same BLAS kernel. OpenBLAS hands a product of at most this
+# many multiply-adds to its small-matrix kernel, whose rounding depends on the
+# number of output positions, and numpy hands a product with one output
+# position to a matrix-vector call; above both, each output element sums its
+# multiply-adds in one order whatever the number of positions.
+_SMALL_GEMM_MACS = 10 ** 6
 
 
 @contextlib.contextmanager
@@ -484,15 +505,41 @@ def _col2im(cols: np.ndarray, h: int, w: int, stride: int, dilation: int,
     return out if pad == 0 else np.ascontiguousarray(out[:, :, pad:pad + h, pad:pad + w])
 
 
+def _conv_gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None):
+    """The correlation of the (N, C, kh, kw, Ho, Wo) patch view ``cols`` with
+    ``w`` as a C-ordered (N, Co, Ho, Wo) array, or written into ``out``;
+    ``tensordot`` gathers the patches."""
+    y = np.tensordot(w, cols, axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)
+    if out is None:
+        return np.ascontiguousarray(y)  # no copy at N = 1
+    out[...] = y
+
+
 def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, pad: int, dilation: int) -> np.ndarray:
+    """Correlate NCHW ``x`` with ``w``. Outside a backward walk, a conv whose
+    two halves (of the batch, or of a lone sample's output rows) each have at
+    least ``CONV_OVERLAP_MIN`` output elements, and more than
+    ``_SMALL_GEMM_MACS`` multiply-adds, computes one half on the worker."""
     kh, kw = w.shape[2], w.shape[3]
     ho = conv_out_size(x.shape[2], kh, stride, pad, dilation)
     wo = conv_out_size(x.shape[3], kw, stride, pad, dilation)
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"conv: kernel {kh}x{kw} (dilation {dilation}) does not fit input {x.shape}")
     cols = _patch_view(_pad_hw(x, pad), kh, kw, stride, dilation, ho, wo)
-    y = np.tensordot(w, cols, axes=([1, 2, 3], [1, 2, 3]))  # (Co, N, Ho, Wo)
-    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    n, c_out = x.shape[0], w.shape[0]
+    parts = n if n >= 2 else ho
+    half = parts // 2
+    half_size = n * c_out * ho * wo // parts * half
+    if (_PENDING is None and half_size >= max(CONV_OVERLAP_MIN, 2 * c_out)
+            and half_size * (w.size // c_out) > _SMALL_GEMM_MACS):
+        y = np.empty((n, c_out, ho, wo))
+        first = np.s_[:half] if n >= 2 else np.s_[..., :half, :]
+        rest = np.s_[half:] if n >= 2 else np.s_[..., half:, :]
+        job = _in_worker(_conv_gemm, w, cols[first], y[first])
+        _conv_gemm(w, cols[rest], y[rest])
+        job.result()
+        return y
+    return _conv_gemm(w, cols)
 
 
 def _conv_dw(x: np.ndarray, dy: np.ndarray, kernel: tuple, stride: int, pad: int,
@@ -535,7 +582,7 @@ def _in_worker(fn, *args) -> concurrent.futures.Future:
     """
     global _WORKER
     if _WORKER is None:
-        _WORKER = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="podfcr-conv-dw")
+        _WORKER = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="podfcr-conv")
     return _WORKER.submit(contextvars.copy_context().run, fn, *args)
 
 

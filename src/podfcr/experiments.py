@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from . import evaluation, metrics
+from . import BLAS_THREAD_VARS, evaluation, metrics
 from .config import ABLATIONS, RunConfig
 from .training import load_split, train
 
@@ -36,9 +36,6 @@ INPUT_VARIANTS = (
 )
 
 ABLATION_HEADER = "\t".join(("# variant", "count") + metrics.METRICS)
-# read once, when a process loads its BLAS library, so they are set before
-# the worker processes start
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # variants trained at once: one per usable core, at most this many
 MAX_WORKERS = 4
 

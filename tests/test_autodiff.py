@@ -9,7 +9,11 @@ import pytest
 
 from podfcr import autodiff as ad, nn
 from podfcr.autodiff import GraphError, ShapeError, Tensor
+from podfcr.config import RunConfig
 from podfcr.gradcheck import gradcheck
+from podfcr.model import CloudRemovalNet
+from podfcr.synthetic import make_sample
+from podfcr.training import make_batch
 
 from conftest import dilate_kernel, naive_conv2d, naive_matmul
 
@@ -467,13 +471,17 @@ class TestConvWorker:
         monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
         x, w = rng.normal(size=(1, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3))
         c = rng.normal(size=(1, 4, 6, 6))
+        x_shape, w_shape, kwargs = SPLIT_FORMS["batch"]
+        big_x, big_w = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=w_shape))
         conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))  # the parent's worker exists
+        split = ad.conv2d(big_x, big_w, **kwargs).data
         pid = os.fork()
         if pid == 0:  # child: a stale pool would queue the task forever
             code = 1
-            try:
-                conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))
-                code = 0
+            try:  # the child's first task is half of a split forward
+                if np.array_equal(ad.conv2d(big_x, big_w, **kwargs).data, split):
+                    conv_grads(ad.conv2d, x, w, None, c, dict(padding=1))
+                    code = 0
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
@@ -482,10 +490,140 @@ class TestConvWorker:
             if time.monotonic() > deadline:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                pytest.fail("backward in a forked child did not finish")
+                pytest.fail("a split forward or a backward in a forked child did not finish")
             time.sleep(0.01)
             done, status = os.waitpid(pid, os.WNOHANG)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+# (input shape, weight shape, keyword arguments) of conv2d forwards that split
+# at a zero threshold: along the batch, and along a lone sample's output rows
+SPLIT_FORMS = {
+    "batch": ((2, 16, 24, 24), (16, 16, 3, 3), dict(padding=1)),
+    "rows": ((1, 16, 24, 24), (32, 16, 3, 3), dict(padding=1)),
+}
+
+
+def worker_jobs(monkeypatch) -> list[str]:
+    """The name of each function handed to the worker from now on."""
+    jobs = []
+    in_worker = ad._in_worker
+
+    def recording_in_worker(fn, *args):
+        jobs.append(fn.__name__)
+        return in_worker(fn, *args)
+
+    monkeypatch.setattr(ad, "_in_worker", recording_in_worker)
+    return jobs
+
+
+class TestConvSplit:
+    """Outside a backward walk, a large conv forward computes half of its
+    output on the worker thread; the bits must be those of one thread."""
+
+    @pytest.mark.parametrize("overlap_min", [ad.CONV_OVERLAP_MIN, 0], ids=["default", "zero"])
+    def test_network_conv_shapes_match_one_thread(self, monkeypatch, overlap_min):
+        # every conv forward of a no-grad wide forward (patch 64, width 16) at batch 1 and 2
+        cfg = RunConfig(seed=0, patch=64, base_channels=16)
+        net = CloudRemovalNet(cfg.model_config(), seed=0)
+        calls = []
+        conv_fwd = ad._conv_fwd
+        monkeypatch.setattr(ad, "_conv_fwd", lambda *args: (calls.append(args), conv_fwd(*args))[1])
+        for n in (1, 2):
+            cloudy, _, _, sar = make_batch([make_sample(0, i, cfg.patch) for i in range(n)],
+                                           cfg.sar_input)
+            with ad.no_grad():
+                net.forward(cloudy, sar)
+        monkeypatch.setattr(ad, "_conv_fwd", conv_fwd)
+        jobs = worker_jobs(monkeypatch)
+        split = set()
+        for x, w, stride, pad, dilation in calls:
+            monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 10 ** 12)
+            one_thread = conv_fwd(x, w, stride, pad, dilation)
+            monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", overlap_min)
+            jobs.clear()
+            assert np.array_equal(conv_fwd(x, w, stride, pad, dilation), one_thread)
+            if jobs:
+                split.add(("batch" if x.shape[0] > 1 else "rows", w.shape[2], stride, dilation))
+        forms = {form[1:] for form in split}
+        assert forms >= {(3, 1, 1), (4, 2, 1), (1, 1, 1), (3, 1, 6), (3, 1, 12), (3, 1, 18)}
+        assert {form[0] for form in split} == {"batch", "rows"}
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_desk_forward_stays_on_the_calling_thread(self, monkeypatch, n):
+        # so each one-thread ablation worker process keeps to one thread
+        cfg = RunConfig(seed=0, patch=32, base_channels=8)
+        net = CloudRemovalNet(cfg.model_config(), seed=0)
+        cloudy, _, _, sar = make_batch([make_sample(0, i, cfg.patch) for i in range(n)],
+                                       cfg.sar_input)
+        jobs = worker_jobs(monkeypatch)
+        with ad.no_grad():
+            net.forward(cloudy, sar)
+        net.forward(cloudy, sar, training=True)
+        assert jobs == []
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["conv2d", "conv_transpose2d"])
+    def test_backward_submits_only_weight_gradients(self, rng, monkeypatch, transposed):
+        # each input VJP calls _conv_fwd at a size that splits outside a walk
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        if transposed:
+            x, w = rng.normal(size=(2, 32, 16, 16)), rng.normal(size=(32, 32, 4, 4))
+            op, kwargs = ad.conv_transpose2d, dict(stride=2, padding=1)
+        else:
+            x_shape, w_shape, kwargs = SPLIT_FORMS["batch"]
+            x, w, op = rng.normal(size=x_shape), rng.normal(size=w_shape), ad.conv2d
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        jobs = worker_jobs(monkeypatch)
+        y = op(xt, wt, **kwargs)
+        c = rng.normal(size=y.shape)
+        loss = ad.tsum(ad.mul(y, Tensor(c)))
+        assert jobs == ([] if transposed else ["_conv_gemm"])
+        jobs.clear()
+        if transposed:
+            ad._conv_fwd(c, w, 2, 1, 1)
+        else:
+            ad._conv_dx(c, w, x.shape[2], x.shape[3], 1, 1, 1)
+        assert jobs == ["_conv_gemm"]
+        jobs.clear()
+        loss.backward()
+        assert jobs == ["_conv_dw"]
+
+    def test_lone_output_row_stays_inline(self, rng, monkeypatch):
+        # large enough to split by every other measure, but one row has no two halves
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        jobs = worker_jobs(monkeypatch)
+        w = rng.normal(size=(256, 256, 1, 1))
+        for rows, expected in ((1, []), (2, ["_conv_gemm"])):
+            x = rng.normal(size=(1, 256, rows, 64))
+            jobs.clear()
+            y = ad.conv2d(Tensor(x), Tensor(w)).data
+            assert jobs == expected
+            assert np.allclose(y, np.einsum("oc,nchw->nohw", w[:, :, 0, 0], x))
+
+    @pytest.mark.parametrize("form", list(SPLIT_FORMS))
+    def test_worker_exception_surfaces_and_worker_survives(self, rng, monkeypatch, form):
+        class Boom(Exception):
+            pass
+
+        conv_gemm = ad._conv_gemm
+
+        def failing_on_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise Boom("worker half failed")
+            conv_gemm(*args)
+
+        x_shape, w_shape, kwargs = SPLIT_FORMS[form]
+        x, w = Tensor(rng.normal(size=x_shape)), Tensor(rng.normal(size=w_shape))
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 0)
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_conv_gemm", failing_on_worker)
+            with pytest.raises(Boom):
+                ad.conv2d(x, w, **kwargs)
+        jobs = worker_jobs(monkeypatch)
+        split = ad.conv2d(x, w, **kwargs).data
+        assert jobs == ["_conv_gemm"]
+        monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 10 ** 9)
+        assert np.array_equal(split, ad.conv2d(x, w, **kwargs).data)
 
 
 class TestDeterminism:

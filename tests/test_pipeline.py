@@ -1,12 +1,14 @@
 import os
 import re
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from podfcr import autodiff as ad
+from podfcr import BLAS_THREAD_VARS, autodiff as ad
 from podfcr import evaluation, experiments, losses, training
 from podfcr.cli import main as cli_main
 from podfcr.config import (ABLATIONS, ConfigError, ModelConfig, RunConfig, field_types,
@@ -363,24 +365,27 @@ class TestTraining:
         assert not any("step=4" in line for line in logs)
 
     def test_conv_worker_writes_the_inline_checkpoint(self, tmp_path, monkeypatch):
-        # desk-sized convs stay inline, so only a zero threshold sends them to the worker
-        build_dataset(0, 6, 16, tmp_path / "data")
+        # desk-sized convs stay inline, so only a zero threshold sends them to the
+        # worker: the weight gradients of the backward and half of the one desk conv
+        # forward large enough to split
+        build_dataset(0, 6, 32, tmp_path / "data")
         submitted = []
         in_worker = ad._in_worker
 
-        def counting_in_worker(*args):
-            submitted.append(1)
-            return in_worker(*args)
+        def recording_in_worker(fn, *args):
+            submitted.append(fn.__name__)
+            return in_worker(fn, *args)
 
-        monkeypatch.setattr(ad, "_in_worker", counting_in_worker)
+        monkeypatch.setattr(ad, "_in_worker", recording_in_worker)
         blobs, submits = [], []
         for name, overlap_min in (("worker", 0), ("inline", ad.CONV_OVERLAP_MIN)):
             monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", overlap_min)
             submitted.clear()
-            train(tiny_config(tmp_path, checkpoint_dir=str(tmp_path / name)), log=lambda line: None)
+            train(tiny_config(tmp_path, patch=32, base_channels=8, batch_size=1,
+                              checkpoint_dir=str(tmp_path / name)), log=lambda line: None)
             blobs.append((tmp_path / name / CHECKPOINT_FILE).read_bytes())
-            submits.append(len(submitted))
-        assert submits[0] > 0 and submits[1] == 0
+            submits.append(set(submitted))
+        assert submits == [{"_conv_gemm", "_conv_dw"}, set()]
         assert blobs[0] == blobs[1]
 
 
@@ -498,6 +503,28 @@ class TestCli:
             "full", "no_scdf", "no_gc", "no_mmcf", "no_mmrf", "no_aspp",
             "input_none", "input_both", "input_bcfsar", "input_pfsar"]
         assert "[no_gc] epoch=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset", [None, "3"], ids=["default", "preset"])
+    def test_import_sets_the_blas_threads_before_numpy_loads(self, preset):
+        # prints what each variable holds when numpy is first imported
+        probe = (
+            "import os, sys\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            f"            print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import podfcr\n")
+        env = {key: value for key, value in os.environ.items()
+               if key not in BLAS_THREAD_VARS}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = str(Path(ad.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [preset or "1", "1", "1"]
 
     def test_gradcheck_unknown_op_is_usage_error(self, capsys):
         code = cli_main(["gradcheck", "--op", "not_an_op"])
