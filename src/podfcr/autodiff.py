@@ -8,9 +8,10 @@ tape as it goes, dropping each node's gradient, closure and saved inputs once
 its own closure has run, so backward peaks near the size of the forward tape
 rather than at twice it. Network tensors are NCHW rank-4, but the
 engine itself is shape-agnostic so attention code can work on flattened
-matrix views. Convolutions gather sliding patches with stride tricks and
-reduce them with ``tensordot``; the quadruple-loop definition lives in the
-test suite as the reference oracle.
+matrix views. A convolution is a GEMM over patches gathered with stride
+tricks (im2col); each GEMM takes its operands in the memory layout the layout
+rule at ``_SMALL_GEMM_MACS`` allows. The quadruple-loop definition and the
+``tensordot`` forms of the GEMMs live in the test suite as reference oracles.
 
 Op contract: an op records one backward closure per tape node. It takes the
 output gradient ``g`` and hands each parent its vector-Jacobian product as
@@ -90,12 +91,17 @@ BN_EPS = 1e-5       # added to the variance before its square root
 # no-grad forward of 121.6 against 125.3 ms (faster in 16 of 20
 # alternations); at batch 2 the same 128 convs split either way.
 CONV_OVERLAP_MIN = 16384
-# A split conv forward gives the bits of the whole one only while every GEMM
-# it makes runs the same BLAS kernel. OpenBLAS hands a product of at most this
-# many multiply-adds to its small-matrix kernel, whose rounding depends on the
-# number of output positions, and numpy hands a product with one output
-# position to a matrix-vector call; above both, each output element sums its
-# multiply-adds in one order whatever the number of positions.
+# OpenBLAS hands a product of at most this many multiply-adds to its
+# small-matrix kernel, whose rounding depends on the operands' memory layout
+# and on the number of output positions, and numpy hands a product with one
+# row or one column to a matrix-vector call, whose rounding depends on the
+# layout. Above both, each output element sums its multiply-adds in one order
+# whatever the layout and the number of positions. Two rules follow, both
+# through ``_large_gemm``. A conv forward splits only above both, where each
+# half's GEMM gives the bits of the whole one. And a GEMM helper may read its
+# operands in the layout that is cheapest to gather, or write its product
+# transposed, only above both; below, it keeps the layouts ``np.tensordot``
+# builds, down to which operand is a view.
 _SMALL_GEMM_MACS = 10 ** 6
 
 
@@ -338,9 +344,20 @@ def relu(a) -> Tensor:
 
 
 def leaky_relu(a, alpha: float) -> Tensor:
-    """LeakyReLU; the subgradient at 0 takes the negative-slope branch."""
+    """LeakyReLU for a slope ``0 < alpha <= 1``; the subgradient at 0 takes the
+    negative-slope branch.
+
+    The forward ``maximum(a, alpha * a)`` has the bits of
+    ``where(a > 0, a, alpha * a)`` in one pass: with ``alpha`` in that range,
+    ``alpha * a`` lies between 0 and ``a`` and keeps the sign of a zero, and a
+    quiet NaN passes through with its payload. A signalling NaN, which no
+    arithmetic produces, passes through unquieted. At ``alpha = 0`` the two
+    differ on +inf (``0 * inf`` is NaN), so the range excludes it.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"leaky_relu: slope {alpha} is outside (0, 1]")
     a = as_tensor(a)
-    return _node(np.where(a.data > 0.0, a.data, alpha * a.data), (a,),
+    return _node(np.maximum(a.data, alpha * a.data), (a,),
                  lambda g: _give(a, lambda: g * np.where(a.data > 0.0, 1.0, alpha)), "leaky_relu")
 
 
@@ -507,19 +524,28 @@ def _col2im(cols: np.ndarray, h: int, w: int, stride: int, dilation: int,
 
 def _conv_gemm(w: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None):
     """The correlation of the (N, C, kh, kw, Ho, Wo) patch view ``cols`` with
-    ``w`` as a C-ordered (N, Co, Ho, Wo) array, or written into ``out``;
-    ``tensordot`` gathers the patches."""
-    y = np.tensordot(w, cols, axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3)
+    ``w`` as a C-ordered (N, Co, Ho, Wo) array, or written into ``out``: one
+    GEMM of the (Co, K) weight and the (K, N·Ho·Wo) patch gather."""
+    co, n, ho, wo = w.shape[0], cols.shape[0], cols.shape[4], cols.shape[5]
+    cols_km = cols.transpose(1, 2, 3, 0, 4, 5).reshape(w.size // co, n * ho * wo)
+    y = np.dot(w.reshape(co, -1), cols_km).reshape(co, n, ho, wo).transpose(1, 0, 2, 3)
     if out is None:
         return np.ascontiguousarray(y)  # no copy at N = 1
     out[...] = y
 
 
+def _large_gemm(rows: int, inner: int, cols: int) -> bool:
+    """Whether a (rows, inner) @ (inner, cols) product has the same bits
+    whatever its operands' layout and however its columns are split (see
+    ``_SMALL_GEMM_MACS``)."""
+    return rows >= 2 and cols >= 2 and rows * inner * cols > _SMALL_GEMM_MACS
+
+
 def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, pad: int, dilation: int) -> np.ndarray:
     """Correlate NCHW ``x`` with ``w``. Outside a backward walk, a conv whose
     two halves (of the batch, or of a lone sample's output rows) each have at
-    least ``CONV_OVERLAP_MIN`` output elements, and more than
-    ``_SMALL_GEMM_MACS`` multiply-adds, computes one half on the worker."""
+    least ``CONV_OVERLAP_MIN`` output elements, and a GEMM above the
+    small-GEMM size (``_large_gemm``), computes one half on the worker."""
     kh, kw = w.shape[2], w.shape[3]
     ho = conv_out_size(x.shape[2], kh, stride, pad, dilation)
     wo = conv_out_size(x.shape[3], kw, stride, pad, dilation)
@@ -530,8 +556,8 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, pad: int, dilation: int
     parts = n if n >= 2 else ho
     half = parts // 2
     half_size = n * c_out * ho * wo // parts * half
-    if (_PENDING is None and half_size >= max(CONV_OVERLAP_MIN, 2 * c_out)
-            and half_size * (w.size // c_out) > _SMALL_GEMM_MACS):
+    if (_PENDING is None and half_size >= CONV_OVERLAP_MIN
+            and _large_gemm(c_out, w.size // c_out, half_size // c_out)):
         y = np.empty((n, c_out, ho, wo))
         first = np.s_[:half] if n >= 2 else np.s_[..., :half, :]
         rest = np.s_[half:] if n >= 2 else np.s_[..., half:, :]
@@ -544,9 +570,16 @@ def _conv_fwd(x: np.ndarray, w: np.ndarray, stride: int, pad: int, dilation: int
 
 def _conv_dw(x: np.ndarray, dy: np.ndarray, kernel: tuple, stride: int, pad: int,
              dilation: int) -> np.ndarray:
-    ho, wo = dy.shape[2], dy.shape[3]
+    n, co, ho, wo = dy.shape
     cols = _patch_view(_pad_hw(x, pad), kernel[0], kernel[1], stride, dilation, ho, wo)
-    return np.tensordot(dy, cols, axes=([0, 2, 3], [0, 4, 5]))  # (Co, C, kh, kw)
+    c, m = cols.shape[1], n * ho * wo
+    k = c * kernel[0] * kernel[1]
+    dy_mat = dy.transpose(1, 0, 2, 3).reshape(co, m)
+    if _large_gemm(co, m, k):  # the forward's (K, M) gather, read transposed
+        cols_mk = cols.transpose(1, 2, 3, 0, 4, 5).reshape(k, m).T
+    else:
+        cols_mk = cols.transpose(0, 4, 5, 1, 2, 3).reshape(m, k)
+    return np.dot(dy_mat, cols_mk).reshape(co, c, kernel[0], kernel[1])
 
 
 def _conv_dx(dy: np.ndarray, w: np.ndarray, xh: int, xw: int, stride: int,
@@ -554,9 +587,11 @@ def _conv_dx(dy: np.ndarray, w: np.ndarray, xh: int, xw: int, stride: int,
     """Adjoint of _conv_fwd: scatter dy back through the kernel taps.
 
     For stride 1 the scatter collapses to one correlation with the kernel
-    flipped and its channel axes swapped, which is a single GEMM.
+    flipped and its channel axes swapped, which is a single GEMM. Otherwise one
+    GEMM gives every tap's contribution and ``_col2im`` adds them up; above the
+    small-GEMM size it writes them tap-major, so each tap is a contiguous slice.
     """
-    kh, kw = w.shape[2], w.shape[3]
+    co, c, kh, kw = w.shape
     flip_pad = dilation * (kh - 1) - pad
     if stride == 1 and kh == kw and flip_pad >= 0:
         w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
@@ -564,8 +599,15 @@ def _conv_dx(dy: np.ndarray, w: np.ndarray, xh: int, xw: int, stride: int,
         if dx.shape[2] != xh or dx.shape[3] != xw:
             raise ShapeError(f"conv backward: expected ({xh},{xw}), got {dx.shape}")
         return dx
-    tmp = np.tensordot(dy, w, axes=([1], [0]))  # (N, Ho, Wo, C, kh, kw)
-    return _col2im(tmp.transpose(0, 3, 4, 5, 1, 2), xh, xw, stride, dilation, pad)
+    n, ho, wo = dy.shape[0], dy.shape[2], dy.shape[3]
+    m, k = n * ho * wo, c * kh * kw
+    if _large_gemm(k, co, m):
+        taps = np.dot(w.reshape(co, k).T, dy.transpose(1, 0, 2, 3).reshape(co, m))
+        cols = taps.reshape(c, kh, kw, n, ho, wo).transpose(3, 0, 1, 2, 4, 5)
+    else:
+        taps = np.dot(dy.transpose(0, 2, 3, 1).reshape(m, co), w.reshape(co, k))
+        cols = taps.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    return _col2im(cols, xh, xw, stride, dilation, pad)
 
 
 _WORKER: concurrent.futures.ThreadPoolExecutor | None = None

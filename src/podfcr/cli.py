@@ -73,7 +73,7 @@ def cmd_train(args) -> int:
 def _restore(checkpoint: str) -> CloudRemovalNet:
     try:
         meta = read_meta(checkpoint)
-        net = CloudRemovalNet(model_config_from_meta(meta), seed=meta["seed"])
+        net = CloudRemovalNet(model_config_from_meta(meta), seed=None)
         load_checkpoint(checkpoint, net)
     except FileNotFoundError as exc:
         raise CliError("missing-checkpoint", str(exc)) from exc

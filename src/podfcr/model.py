@@ -28,9 +28,11 @@ from .synthetic import OPTICAL_CHANNELS
 
 
 class CloudRemovalNet(nn.Module):
-    def __init__(self, config: ModelConfig, seed: int):
+    def __init__(self, config: ModelConfig, seed: int | None):
+        """Draw the initial weights from ``seed``; with ``seed=None`` they
+        start at zero, for a network whose parameters a checkpoint overwrites."""
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         c1, c2, c3 = config.channel_schedule
         gated = config.ablation != "no_gc"
         cross = config.ablation != "no_mmcf"

@@ -4,8 +4,9 @@ down/upsampling blocks and the atrous pyramid (ASPP).
 
 Modules own their parameters as ``Tensor`` leaves created from an explicit
 ``numpy.random.Generator`` so a seed reproduces the parameter tree bit for
-bit. ``named_parameters`` walks attributes in definition order, which keeps
-checkpoint layouts stable.
+bit. Built without one (``rng=None``), a module's weights start at zero, for a
+caller that loads a state dict over every parameter. ``named_parameters``
+walks attributes in definition order, which keeps checkpoint layouts stable.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ def act(x: Tensor) -> Tensor:
     return ad.leaky_relu(x, LEAKY_SLOPE)
 
 
-def kaiming(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
-    """He-normal weight of ``shape``: one draw with std sqrt(2 / fan_in)."""
+def kaiming(rng: np.random.Generator | None, shape: tuple, fan_in: int) -> Tensor:
+    """He-normal weight of ``shape``: one draw with std sqrt(2 / fan_in), or
+    zeros without a generator."""
+    if rng is None:
+        return zeros_param(*shape)
     return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), shape), requires_grad=True)
 
 

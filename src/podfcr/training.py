@@ -254,8 +254,11 @@ def load_checkpoint(ckpt_dir, net: CloudRemovalNet, optimizer: Adam | None = Non
 
 # -- the loop ---------------------------------------------------------------
 
-def build_net_and_optimizer(config: RunConfig) -> tuple[CloudRemovalNet, Adam]:
-    net = CloudRemovalNet(config.model_config(), seed=config.seed)
+def build_net_and_optimizer(config: RunConfig, restore: bool = False
+                            ) -> tuple[CloudRemovalNet, Adam]:
+    """The network and its optimizer. With ``restore`` the network skips its
+    initial draws, because ``load_checkpoint`` overwrites every parameter."""
+    net = CloudRemovalNet(config.model_config(), seed=None if restore else config.seed)
     optimizer = Adam(list(net.named_parameters()), lr=config.learning_rate,
                      beta1=config.adam_beta1, beta2=config.adam_beta2,
                      grad_clip=config.grad_clip)
@@ -285,7 +288,7 @@ def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet
     samples = load_split(config.data_dir, "train")
     if not samples:
         raise FileNotFoundError(f"no training samples under {config.data_dir}")
-    net, optimizer = build_net_and_optimizer(config)
+    net, optimizer = build_net_and_optimizer(config, restore=resume)
     ckpt_dir = Path(config.checkpoint_dir)
     if resume:
         check_resume_config(read_meta(ckpt_dir), config)

@@ -1,6 +1,8 @@
 """Shared oracles: naive reference implementations kept independent of the
-library's vectorized code paths, and the op chains that the fused tape ops
-replace (``chain_*``), each recording one tape node per elementary op."""
+library's vectorized code paths, the op chains that the fused tape ops
+replace (``chain_*``), each recording one tape node per elementary op, and the
+``tensordot`` forms of the conv GEMM helpers (``tensordot_conv_*``), whose
+bits the helpers must keep."""
 
 import numpy as np
 import pytest
@@ -116,6 +118,33 @@ def chain_scdf_apply(x, spatial, channel):
 def chain_linear(x, weight, bias):
     """ad.linear as the chain of elementary ops it fuses."""
     return ad.add(ad.matmul(x, ad.transpose(weight, (1, 0))), bias)
+
+
+def tensordot_conv_gemm(w, cols):
+    """ad._conv_gemm as one ``tensordot`` over the (C, kh, kw) axes."""
+    return np.ascontiguousarray(
+        np.tensordot(w, cols, axes=([1, 2, 3], [1, 2, 3])).transpose(1, 0, 2, 3))
+
+
+def tensordot_conv_dw(x, dy, kernel, stride, pad, dilation):
+    """ad._conv_dw as one ``tensordot`` over the (N, Ho, Wo) axes."""
+    cols = ad._patch_view(ad._pad_hw(x, pad), kernel[0], kernel[1], stride, dilation,
+                          dy.shape[2], dy.shape[3])
+    return np.tensordot(dy, cols, axes=([0, 2, 3], [0, 4, 5]))
+
+
+def tensordot_conv_dx(dy, w, xh, xw, stride, pad, dilation):
+    """ad._conv_dx with each GEMM as a ``tensordot``: at stride 1 the flipped
+    correlation, otherwise the taps of every output position and their
+    ``_col2im`` sum."""
+    kh = w.shape[2]
+    flip_pad = dilation * (kh - 1) - pad
+    if stride == 1 and kh == w.shape[3] and flip_pad >= 0:
+        w_flip = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        cols = ad._patch_view(ad._pad_hw(dy, flip_pad), kh, kh, 1, dilation, xh, xw)
+        return tensordot_conv_gemm(w_flip, cols)
+    tmp = np.tensordot(dy, w, axes=([1], [0]))  # (N, Ho, Wo, C, kh, kw)
+    return ad._col2im(tmp.transpose(0, 3, 4, 5, 1, 2), xh, xw, stride, dilation, pad)
 
 
 def dilate_kernel(w, dilation):

@@ -13,9 +13,10 @@ from podfcr.config import RunConfig
 from podfcr.gradcheck import gradcheck
 from podfcr.model import CloudRemovalNet
 from podfcr.synthetic import make_sample
-from podfcr.training import make_batch
+from podfcr.training import build_net_and_optimizer, make_batch, train_step
 
-from conftest import dilate_kernel, naive_conv2d, naive_matmul
+from conftest import (dilate_kernel, naive_conv2d, naive_matmul, tensordot_conv_dw,
+                      tensordot_conv_dx, tensordot_conv_gemm)
 
 
 class TestConv2d:
@@ -159,6 +160,24 @@ class TestElementwise:
         ad.tsum(ad.leaky_relu(x, 0.2)).backward()
         # subgradient at 0 takes the negative-slope branch
         assert np.array_equal(x.grad, [0.2, 0.2, 1.0])
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 1e-300])
+    def test_leaky_relu_has_the_bits_of_the_where_form(self, rng, alpha):
+        tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, tiny, -tiny,
+                   big, -big, 1.0, -1.0]
+        payload_nan = np.array([0x7FF8000000000123, 0xFFF800000000ABCD], dtype=np.uint64)
+        scaled = rng.normal(size=4000) * 10.0 ** rng.integers(-320, 308, 4000)
+        x = np.concatenate([special, payload_nan.view(np.float64), scaled, rng.normal(size=4000)])
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            ref = np.where(x > 0.0, x, alpha * x)
+            out = ad.leaky_relu(Tensor(x), alpha).data
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("alpha", [-0.1, 0.0, 1.5, np.nan])
+    def test_leaky_relu_rejects_a_slope_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(Tensor([1.0, -1.0]), alpha)
 
     def test_avg_pool(self, rng):
         x = rng.normal(size=(1, 2, 6, 6))
@@ -624,6 +643,104 @@ class TestConvSplit:
         assert jobs == ["_conv_gemm"]
         monkeypatch.setattr(ad, "CONV_OVERLAP_MIN", 10 ** 9)
         assert np.array_equal(split, ad.conv2d(x, w, **kwargs).data)
+
+
+def check_conv_helpers(monkeypatch) -> list[tuple[str, bool, bool]]:
+    """From now on, compare each call of the three conv GEMM helpers with its
+    ``tensordot`` oracle. Each call appends (helper, whether its product is
+    above the small-GEMM size, whether the bits matched) to the returned list;
+    ``_conv_gemm`` and the stride-1 ``_conv_dx`` have no such choice and
+    record ``False``."""
+    calls = []
+    conv_gemm, conv_dw, conv_dx = ad._conv_gemm, ad._conv_dw, ad._conv_dx
+
+    def gemm(w, cols, out=None):
+        y = conv_gemm(w, cols, out)
+        calls.append(("gemm", False,
+                      np.array_equal(y if out is None else out, tensordot_conv_gemm(w, cols))))
+        return y
+
+    def dw(x, dy, kernel, stride, pad, dilation):
+        y = conv_dw(x, dy, kernel, stride, pad, dilation)
+        m, k = dy.shape[0] * dy.shape[2] * dy.shape[3], x.shape[1] * kernel[0] * kernel[1]
+        calls.append(("dw", ad._large_gemm(dy.shape[1], m, k),
+                      np.array_equal(y, tensordot_conv_dw(x, dy, kernel, stride, pad, dilation))))
+        return y
+
+    def dx(dy, w, xh, xw, stride, pad, dilation):
+        y = conv_dx(dy, w, xh, xw, stride, pad, dilation)
+        m, k = dy.shape[0] * dy.shape[2] * dy.shape[3], w.size // w.shape[0]
+        calls.append(("dx" if stride == 1 else "dx_strided",
+                      stride != 1 and ad._large_gemm(k, w.shape[0], m),
+                      np.array_equal(y, tensordot_conv_dx(dy, w, xh, xw, stride, pad, dilation))))
+        return y
+
+    monkeypatch.setattr(ad, "_conv_gemm", gemm)
+    monkeypatch.setattr(ad, "_conv_dw", dw)
+    monkeypatch.setattr(ad, "_conv_dx", dx)
+    return calls
+
+
+# (x shape, weight shape, stride, padding) of a conv2d, on both sides of the
+# small-GEMM size for each helper
+GEMM_FORMS = {
+    "3x3_small": ((1, 8, 16, 16), (8, 8, 3, 3), 1, 1),
+    "3x3_large": ((2, 16, 32, 32), (16, 16, 3, 3), 1, 1),
+    "4x4_stride2_small": ((1, 8, 16, 16), (16, 8, 4, 4), 2, 1),
+    "4x4_stride2_large": ((2, 16, 64, 64), (32, 16, 4, 4), 2, 1),
+    # a lone sample's 1x1 patch matrix is a view of x: an F-ordered (M, K)
+    # operand, which a C-ordered copy would hand to another BLAS path
+    "1x1_n1_view": ((1, 8, 32, 32), (8, 8, 1, 1), 1, 0),
+    "1x1_n1_large": ((1, 64, 32, 32), (64, 64, 1, 1), 1, 0),
+    # one output channel: a one-row weight-gradient product above the size,
+    # which numpy hands to a matrix-vector call, whose bits follow the layout
+    "one_output_channel": ((2, 16, 64, 64), (1, 16, 3, 3), 1, 1),
+}
+
+
+class TestConvGemmLayouts:
+    """The conv helpers build their GEMM operands in the layouts that suit
+    them; every call must keep the bits of the ``tensordot`` forms."""
+
+    @pytest.mark.parametrize("form", list(GEMM_FORMS))
+    def test_helpers_match_tensordot(self, rng, form):
+        x_shape, w_shape, stride, pad = GEMM_FORMS[form]
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        ho = ad.conv_out_size(x_shape[2], w_shape[2], stride, pad, 1)
+        dy = rng.normal(size=(x_shape[0], w_shape[0], ho, ho))
+        cols = ad._patch_view(ad._pad_hw(x, pad), w_shape[2], w_shape[3], stride, 1, ho, ho)
+        assert np.array_equal(ad._conv_gemm(w, cols), tensordot_conv_gemm(w, cols))
+        assert np.array_equal(ad._conv_dw(x, dy, w_shape[2:], stride, pad, 1),
+                              tensordot_conv_dw(x, dy, w_shape[2:], stride, pad, 1))
+        assert np.array_equal(ad._conv_dx(dy, w, x_shape[2], x_shape[3], stride, pad, 1),
+                              tensordot_conv_dx(dy, w, x_shape[2], x_shape[3], stride, pad, 1))
+        # the transposed conv's forward is the strided scatter, with x as the output gradient
+        if stride == 2:
+            wt = rng.normal(size=(x_shape[1], w_shape[0], 4, 4))
+            hy = (x_shape[2] - 1) * 2 - 2 * pad + 4
+            assert np.array_equal(ad._conv_dx(x, wt, hy, hy, 2, pad, 1),
+                                  tensordot_conv_dx(x, wt, hy, hy, 2, pad, 1))
+
+    @pytest.mark.parametrize("scale", [(32, 8, 1), (64, 16, 2)], ids=["desk", "wide"])
+    def test_network_calls_match_tensordot(self, monkeypatch, scale):
+        # a training step from step 2 on, so the gradients upstream of the
+        # zero-init out_conv are not zero, then no-grad forwards at N = 1 and 2
+        patch, width, batch_size = scale
+        cfg = RunConfig(seed=0, patch=patch, base_channels=width, batch_size=batch_size)
+        net, optimizer = build_net_and_optimizer(cfg)
+        batches = {n: make_batch([make_sample(0, i, patch) for i in range(n)], cfg.sar_input)
+                   for n in {1, 2, batch_size}}
+        train_step(net, optimizer, batches[batch_size], cfg)
+        calls = check_conv_helpers(monkeypatch)
+        train_step(net, optimizer, batches[batch_size], cfg)
+        for n in (1, 2):
+            cloudy, _, _, sar = batches[n]
+            with ad.no_grad():
+                net.forward(cloudy, sar)
+        assert [c for c in calls if not c[2]] == []
+        forms = {c[:2] for c in calls}
+        assert forms >= {("gemm", False), ("dx", False), ("dw", True), ("dw", False),
+                         ("dx_strided", True)}
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from podfcr import BLAS_THREAD_VARS, autodiff as ad
-from podfcr import evaluation, experiments, losses, training
+from podfcr import cli, evaluation, experiments, losses, nn, training
 from podfcr.cli import main as cli_main
 from podfcr.config import (ABLATIONS, ConfigError, ModelConfig, RunConfig, field_types,
                            format_key_values, load_config, save_config)
@@ -728,6 +728,46 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["eval", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("error:bad-tensorfile:")
+
+    def test_restore_draws_no_initial_weights(self, tiny_data, tmp_path, capsys, monkeypatch):
+        # eval, infer and train --resume load every parameter over the
+        # network they build, so they make no He-normal draw, and their
+        # outputs are those of a network built from the seed and then loaded
+        cfg = tiny_config(tiny_data, epochs=1)
+        cfg_path = tmp_path / "run.cfg"
+        save_config(cfg, cfg_path)
+        trained = train(cfg)
+        tile = tiny_data / "data" / "sample_0000"
+
+        def outputs(name):
+            report, pred = tmp_path / f"{name}.txt", tmp_path / f"{name}.ptf"
+            assert cli_main(["eval", "--config", str(cfg_path), "--out", str(report)]) == 0
+            assert cli_main(["infer", "--checkpoint", cfg.checkpoint_dir, "--in",
+                             str(tile / "cloudy.ptf"), str(tile / "pfsar.ptf"),
+                             "--out", str(pred)]) == 0
+            return report.read_bytes(), pred.read_bytes()
+
+        def seeded_restore(checkpoint):
+            net = CloudRemovalNet(model_config_from_meta(read_meta(checkpoint)), seed=cfg.seed)
+            load_checkpoint(checkpoint, net)
+            return net
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_restore", seeded_restore)
+            seeded = outputs("seeded")
+        draws = []
+        kaiming = nn.kaiming
+        monkeypatch.setattr(nn, "kaiming", lambda rng, shape, fan_in: (
+            draws.append(shape) if rng is not None else None, kaiming(rng, shape, fan_in))[1])
+        assert outputs("restored") == seeded
+        restored = cli._restore(cfg.checkpoint_dir).state_dict()
+        expected = trained.state_dict()
+        assert restored.keys() == expected.keys()
+        for name, value in expected.items():
+            assert np.array_equal(restored[name], value), name
+        train(tiny_config(tiny_data, epochs=2), resume=True)
+        assert draws == []
+        capsys.readouterr()
 
     def test_infer_writes_the_whole_batch(self, tmp_path, tiny_data, capsys):
         cfg = tiny_config(tiny_data, epochs=1)
