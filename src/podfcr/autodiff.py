@@ -23,10 +23,10 @@ work on every step. It accumulates rather than returning gradients, because
 perfbench's tracer wraps a node's ``_backward`` as a one-argument callable
 and discards its return value.
 
-A fused op (``batch_norm`` in training mode, ``filter_normalize``,
-``linear`` and ``tap_sum``) records one node for a chain of elementary ops
-and keeps only the chain's inputs and output; its closure recomputes the
-intermediates it needs. It replays the chain's VJP expressions exactly as the
+A fused op (``batch_norm``, ``filter_normalize``, ``linear`` and
+``tap_sum``) records one node for a chain of elementary ops and keeps only
+the chain's inputs and output; its closure recomputes the intermediates it
+needs. It replays the chain's VJP expressions exactly as the
 chain writes them, in the chain's reverse topological order: a gradient that
 passes between the chain's own steps is summed to that step's shape with
 ``_sum_to``, as ``_give`` would, a term the chain adds twice is added twice,
@@ -775,11 +775,12 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
 
     Training mode normalizes with the biased batch variance and folds the
     batch statistics into the running buffers with weight ``BN_MOMENTUM``;
-    eval mode uses the buffers. Both add ``BN_EPS`` to the variance.
-    Training mode records one fused node (see the op contract) that replays
-    the VJPs of the chain
-    ``add(mul(g4, div(c, sqrt(add(tmean(mul(c, c)), eps)))), b4)`` with
-    ``c = sub(x, tmean(x))``; eval mode records that chain over the buffers.
+    eval mode uses copies of the buffers, taken when the op runs. Both add
+    ``BN_EPS`` to the variance and record one fused node (see the op
+    contract) replaying the VJPs of the chain
+    ``add(mul(g4, div(sub(x, m), sqrt(add(v, eps)))), b4)``, where ``m`` and
+    ``v`` are ``tmean(x)`` and ``tmean(mul(c, c))`` with ``c = sub(x, m)`` in
+    training mode, and the buffer copies, as constants, in eval mode.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
@@ -788,34 +789,33 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm: gamma/beta must have shape ({c},)")
     shape4 = (1, c, 1, 1)
-    if not training:
-        rm = Tensor(running_mean.reshape(shape4).copy())
-        rv = Tensor(running_var.reshape(shape4).copy())
-        xhat = div(sub(x, rm), sqrt(add(rv, BN_EPS)))
-        return add(mul(reshape(gamma, shape4), xhat), reshape(beta, shape4))
-
     axes = (0, 2, 3)
     n = x.shape[0] * x.shape[2] * x.shape[3]
+    frozen = None if training else (running_mean.reshape(shape4).copy(),
+                                    running_var.reshape(shape4).copy())
 
     def stats():
-        m = x.data.mean(axis=axes, keepdims=True)
+        m = frozen[0] if frozen else x.data.mean(axis=axes, keepdims=True)
         centered = x.data - m
-        var = (centered * centered).mean(axis=axes, keepdims=True)
+        var = frozen[1] if frozen else (centered * centered).mean(axis=axes, keepdims=True)
         return m, centered, var, np.sqrt(var + BN_EPS)
 
     m, centered, var, sd = stats()
     y = gamma.data.reshape(shape4) * (centered / sd) + beta.data.reshape(shape4)
-    unbias = n / (n - 1) if n > 1 else 1.0
-    running_mean *= 1.0 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * m.reshape(c)
-    running_var *= 1.0 - BN_MOMENTUM
-    running_var += BN_MOMENTUM * unbias * var.reshape(c)
+    if training:
+        unbias = n / (n - 1) if n > 1 else 1.0
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * m.reshape(c)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbias * var.reshape(c)
 
     def bw(g):
         _, centered, _, sd = stats()
         _give(beta, lambda: _sum_to(g, shape4).reshape(c))
         _give(gamma, lambda: _sum_to(g * (centered / sd), shape4).reshape(c))
-        if x.requires_grad:
+        if frozen:  # constant statistics: x's gradient ends at sub(x, m)
+            _give(x, lambda: g * gamma.data.reshape(shape4) / sd)
+        elif x.requires_grad:
             _normalize_vjp(x, g * gamma.data.reshape(shape4), centered, sd, sd, n)
 
     return _node(y, (x, gamma, beta), bw, "batch_norm")

@@ -85,14 +85,18 @@ class RunConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.lambda_local < 0 or self.lambda_ssim < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
+        for name, ok, bound in (
+                ("lambda_local", self.lambda_local >= 0, "non-negative"),
+                ("lambda_ssim", self.lambda_ssim >= 0, "non-negative"),
+                ("batch_size", self.batch_size >= 1, "at least 1"),
+                ("epochs", self.epochs >= 1, "at least 1"),
+                ("max_steps", self.max_steps >= 0, "non-negative"),
+                ("learning_rate", self.learning_rate > 0, "positive"),
+                ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
+                ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
+                ("grad_clip", self.grad_clip >= 0, "non-negative")):
+            if not ok:  # each test is written so that NaN fails it
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{name: getattr(self, name) for name in field_types(ModelConfig)})

@@ -6,16 +6,20 @@ cross-fusion blocks, a fusion branch that pools the per-scale fused maps to
 the deepest scale, attention refinement over the three deepest-scale
 branches, and an ASPP decoder with skip connections plus a long additive
 skip from the cloudy input to the output. The network is built from a
-``ModelConfig``, whose schema lives in ``config``. Its ``ablation`` picks
-modules at build time: ``no_gc`` builds plain optical residual blocks and
-MMCF convs, ``no_scdf`` radar blocks without dynamic filters, ``no_mmcf``
-MMCFs without cross connections, ``no_mmrf`` a 1x1 conv in place of MMRF, and
-``no_aspp`` no ASPP. Per call, ``forward`` still branches on ``no_mmrf``,
-``no_aspp`` and the optical-only model (``sar_input = none``), and the radar
-residual blocks and MMCFs on the flags that built them.
+``ModelConfig``, whose schema lives in ``config``, and the build makes
+every choice the config holds. ``ablation`` picks modules: ``no_gc`` builds
+plain optical residual blocks and MMCF convs, ``no_scdf`` radar blocks with
+identities for their dynamic filters, ``no_mmcf`` MMCFs without cross
+connections, ``no_mmrf`` a 1x1 conv over the concatenated branches in MMRF's
+place, and ``no_aspp`` an identity in ASPP's place. A stand-in holds no
+parameters, so it adds no state names. The optical-only model
+(``sar_input = none``) has no radar branch, fusion or refinement; ``forward``
+picks its encoder or the dual one, and the decoder after them is shared.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -66,11 +70,12 @@ class CloudRemovalNet(nn.Module):
             self.fus_exit = nn.Conv2d(rng, fused_width, c3)
             if config.ablation == "no_mmrf":
                 self.refine_concat = nn.Conv2d(rng, 3 * c3, c3, kernel=1, padding=0)
+                self.mmrf = functools.partial(_concat_refine, self.refine_concat)
             else:
                 self.mmrf = MMRF(rng, c3)
 
-        if config.ablation != "no_aspp":
-            self.aspp = nn.ASPP(rng, c3, rates=config.aspp_rates)
+        self.aspp = (nn.identity if config.ablation == "no_aspp"
+                     else nn.ASPP(rng, c3, rates=config.aspp_rates))
         self.up1 = nn.Upsample(rng, c3)
         self.merge1 = nn.Conv2d(rng, 2 * c2, c2, kernel=1, padding=0)
         self.dec_rb1 = [nn.PlainResidualBlock(rng, c2) for _ in range(2)]
@@ -107,47 +112,9 @@ class CloudRemovalNet(nn.Module):
         cloudy = ad.as_tensor(cloudy)
         sar = ad.as_tensor(sar) if sar is not None else None
         self._check_inputs(cloudy, sar)
-        cfg = self.config
-        dual = cfg.radar_channels > 0
-
-        x_o = self.opt_rb1(nn.act(self.opt_stem(cloudy)))
-        if dual:
-            x_s = self.sar_rb1(nn.act(self.sar_stem(sar)))
-            o1, s1, fused1 = self.mmcf1(x_o, x_s)
-        else:
-            o1 = x_o
-        skip1 = o1
-
-        x_o = self.opt_rb2(self.opt_down1(o1, training))
-        if dual:
-            x_s = self.sar_rb2(self.sar_down1(s1, training))
-            o2, s2, fused2 = self.mmcf2(x_o, x_s)
-        else:
-            o2 = x_o
-        skip2 = o2
-
-        x_o = self.opt_rb3(self.opt_down2(o2, training))
-        if dual:
-            x_s = self.sar_rb3(self.sar_down2(s2, training))
-            o3, s3, fused3 = self.mmcf3(x_o, x_s)
-            o4, s4, fused4 = self.mmcf4(self.opt_rb4(o3), self.sar_rb4(s3))
-        else:
-            o4 = self.opt_rb4(x_o)
-
-        opt_feat = nn.act(self.opt_exit(o4))
-        if dual:
-            sar_feat = nn.act(self.sar_exit(s4))
-            f1 = ad.avg_pool2d(ad.avg_pool2d(fused1, 2), 2)
-            f2 = ad.avg_pool2d(fused2, 2)
-            fus_feat = nn.act(self.fus_exit(ad.concat([f1, f2, fused3, fused4], axis=1)))
-            if cfg.ablation == "no_mmrf":
-                refined = self.refine_concat(ad.concat([opt_feat, sar_feat, fus_feat], axis=1))
-            else:
-                refined = self.mmrf(opt_feat, sar_feat, fus_feat)
-        else:
-            refined = opt_feat
-
-        x = refined if cfg.ablation == "no_aspp" else self.aspp(refined)
+        encode = self._encode_dual if self.config.radar_channels else self._encode_optical
+        refined, skip1, skip2 = encode(cloudy, sar, training)
+        x = self.aspp(refined)
         x = self.merge1(ad.concat([self.up1(x, training), skip2], axis=1))
         x = self.dec_rb1[1](self.dec_rb1[0](x))
         x = self.merge2(ad.concat([self.up2(x, training), skip1], axis=1))
@@ -155,3 +122,31 @@ class CloudRemovalNet(nn.Module):
         return ad.add(self.out_conv(x), cloudy)
 
     __call__ = forward
+
+    def _encode_optical(self, cloudy: Tensor, sar: Tensor | None, training: bool):
+        """Deepest feature and the two skips of the optical branch alone."""
+        o1 = self.opt_rb1(nn.act(self.opt_stem(cloudy)))
+        o2 = self.opt_rb2(self.opt_down1(o1, training))
+        o4 = self.opt_rb4(self.opt_rb3(self.opt_down2(o2, training)))
+        return nn.act(self.opt_exit(o4)), o1, o2
+
+    def _encode_dual(self, cloudy: Tensor, sar: Tensor, training: bool):
+        """Refined deepest feature and the two (optical) skips, both branches fused."""
+        o1, s1, fused1 = self.mmcf1(self.opt_rb1(nn.act(self.opt_stem(cloudy))),
+                                    self.sar_rb1(nn.act(self.sar_stem(sar))))
+        o2, s2, fused2 = self.mmcf2(self.opt_rb2(self.opt_down1(o1, training)),
+                                    self.sar_rb2(self.sar_down1(s1, training)))
+        o3, s3, fused3 = self.mmcf3(self.opt_rb3(self.opt_down2(o2, training)),
+                                    self.sar_rb3(self.sar_down2(s2, training)))
+        o4, s4, fused4 = self.mmcf4(self.opt_rb4(o3), self.sar_rb4(s3))
+        opt_feat = nn.act(self.opt_exit(o4))
+        sar_feat = nn.act(self.sar_exit(s4))
+        f1 = ad.avg_pool2d(ad.avg_pool2d(fused1, 2), 2)
+        f2 = ad.avg_pool2d(fused2, 2)
+        fus_feat = nn.act(self.fus_exit(ad.concat([f1, f2, fused3, fused4], axis=1)))
+        return self.mmrf(opt_feat, sar_feat, fus_feat), o1, o2
+
+
+def _concat_refine(conv: nn.Conv2d, *branches: Tensor) -> Tensor:
+    """MMRF's stand-in under no_mmrf: ``conv`` over the concatenated branches."""
+    return conv(ad.concat(list(branches), axis=1))

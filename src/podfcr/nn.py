@@ -26,6 +26,11 @@ def act(x: Tensor) -> Tensor:
     return ad.leaky_relu(x, LEAKY_SLOPE)
 
 
+def identity(x: Tensor) -> Tensor:
+    """An ablation's stand-in for a module it removes; it holds no parameters."""
+    return x
+
+
 def kaiming(rng: np.random.Generator | None, shape: tuple, fan_in: int) -> Tensor:
     """He-normal weight of ``shape``: one draw with std sqrt(2 / fan_in), or
     zeros without a generator."""
@@ -314,23 +319,17 @@ class DynamicFilterResidualBlock(Module):
     """Residual block for the speckled radar branch.
 
     B = conv -> act -> SCDF -> conv -> act -> SCDF -> conv -> act (this block
-    carries a third activation), y = x + 0.1 * B(x). ``use_scdf=False`` drops
-    the dynamic filtering for the ablation.
+    carries a third activation), y = x + 0.1 * B(x). ``use_scdf=False`` builds
+    identities in place of the two SCDFs, for the ablation.
     """
 
     def __init__(self, rng, channels: int, use_scdf: bool = True):
-        self.use_scdf = use_scdf
         self.convs = [Conv2d(rng, channels, channels) for _ in range(3)]
-        if use_scdf:
-            self.filters = [SCDF(rng, channels) for _ in range(2)]
+        self.filters = [SCDF(rng, channels) if use_scdf else identity for _ in range(2)]
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = act(self.convs[0](x))
-        if self.use_scdf:
-            b = self.filters[0](b)
-        b = act(self.convs[1](b))
-        if self.use_scdf:
-            b = self.filters[1](b)
+        b = self.filters[0](act(self.convs[0](x)))
+        b = self.filters[1](act(self.convs[1](b)))
         b = act(self.convs[2](b))
         return ad.add(x, ad.scale(b, RESIDUAL_SCALE))
 

@@ -79,7 +79,7 @@ def chain_filter_normalize(raw, alpha, beta):
 
 
 def chain_batch_norm(x, gamma, beta, running_mean, running_var, training):
-    """ad.batch_norm as the chain of elementary ops it fuses in training mode."""
+    """ad.batch_norm as the chain of elementary ops it fuses."""
     x, gamma, beta = ad.as_tensor(x), ad.as_tensor(gamma), ad.as_tensor(beta)
     c = x.shape[1]
     g4 = ad.reshape(gamma, (1, c, 1, 1))

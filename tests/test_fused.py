@@ -86,10 +86,19 @@ class TestScdfApply:
         assert fused[2] == ["unfold", "reshape", "reshape", "tap_sum"]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("grads", [None, [False, True, True]], ids=["all", "no-x"])
 class TestBatchNorm:
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("grads", [None, [False, True, True]], ids=["all", "no-x"])
+    """One fused node in both modes; in eval mode the chain takes the buffers
+    as constants."""
+
     def test_training_mode(self, rng, n, grads):
+        self.check(rng, n, grads, training=True)
+
+    def test_eval_mode(self, rng, n, grads):
+        self.check(rng, n, grads, training=False)
+
+    def check(self, rng, n, grads, training):
         arrays = [rng.normal(1.0, 2.0, size=(n, 3, 4, 5)), 1.0 + 0.1 * rng.normal(size=3),
                   rng.normal(size=3)]
         rm, rv = rng.normal(size=3), 1.0 + rng.uniform(size=3)
@@ -97,7 +106,7 @@ class TestBatchNorm:
 
         def fn(op):
             buffers[op] = (rm.copy(), rv.copy())
-            return lambda x, g, b: op(x, g, b, *buffers[op], training=True)
+            return lambda x, g, b: op(x, g, b, *buffers[op], training=training)
 
         fused = run(fn(ad.batch_norm), arrays, grads)
         assert_same(fused, run(fn(chain_batch_norm), arrays, grads))

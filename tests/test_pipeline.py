@@ -159,8 +159,11 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error:config: {path}:2: seed:")
 
-    @pytest.mark.parametrize("key,value", [("patch", 10), ("base_channels", 0), ("epochs", 0),
-                                           ("max_steps", -1), ("ablation", "no_gates")])
+    @pytest.mark.parametrize("key,value", [
+        ("patch", 10), ("base_channels", 0), ("epochs", 0), ("max_steps", -1),
+        ("ablation", "no_gates"), ("learning_rate", 0.0), ("learning_rate", -1.0),
+        ("learning_rate", "nan"), ("adam_beta1", 1.0), ("adam_beta1", -0.1),
+        ("adam_beta2", 1.0), ("adam_beta2", "nan"), ("grad_clip", -1.0)])
     def test_invalid_value_is_config_error(self, tiny_data, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(format_key_values({"patch": 16, "base_channels": 4, "epochs": 1,
