@@ -22,9 +22,9 @@ for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 from .autodiff import (GraphError, ShapeError, Tensor, avg_pool2d, batch_norm,
-                       concat, conv2d, conv_transpose2d, global_avg_pool,
-                       leaky_relu, matmul, no_grad, relu, reshape, sigmoid,
-                       softmax, tanh, transpose, unfold)
+                       concat, conv2d, conv_transpose2d, filter_normalize,
+                       global_avg_pool, leaky_relu, matmul, no_grad, relu,
+                       reshape, sigmoid, softmax, tanh, transpose, unfold)
 from .config import ModelConfig, RunConfig, load_config, save_config
 from .losses import loss_global, loss_local, loss_ssim, loss_total, ssim
 from .metrics import cc, psnr, sam, ssim_metric
@@ -32,7 +32,7 @@ from .model import CloudRemovalNet
 from .nn import (ASPP, SCDF, BatchNorm2d, Conv2d, ConvTranspose2d,
                  DynamicFilterResidualBlock, FilterNorm, GatedConv2d,
                  GatedResidualBlock, Linear, Module, PlainResidualBlock,
-                 filter_normalize, gated_conv, scdf_apply)
+                 gated_conv, scdf_apply)
 from .fusion import MMCF, MMRF, MWRU, SCRU
 from .optim import Adam
 from .synthetic import (SamplePair, apply_cloud, build_dataset, gen_clean_optical,

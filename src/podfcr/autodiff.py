@@ -74,6 +74,7 @@ _GRAD_ENABLED = True
 _PENDING: dict | None = None
 BN_MOMENTUM = 0.1   # weight of the batch statistics in each running-stat update
 BN_EPS = 1e-5       # added to the variance before its square root
+FILTER_NORM_EPS = 1e-6   # added to a kernel's std, which vanishes for a constant kernel
 # A conv backward whose output gradient has at least this many elements
 # computes its weight gradient on the worker thread, while the calling thread
 # goes on with the input gradient and the nodes after it. The smallest 3x3
@@ -821,13 +822,14 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     return _node(y, (x, gamma, beta), bw, "batch_norm")
 
 
-def filter_normalize(raw, alpha, beta, eps: float) -> Tensor:
-    """``alpha * c / (sd + eps) + beta`` over the trailing two (kernel) axes,
-    with ``c`` the centred ``raw`` and ``sd`` its biased standard deviation.
+def filter_normalize(raw, alpha, beta) -> Tensor:
+    """``alpha * c / (sd + FILTER_NORM_EPS) + beta`` over the trailing two
+    (kernel) axes, with ``c`` the centred ``raw`` and ``sd`` its biased
+    standard deviation.
 
     One fused node replaying the VJPs of the chain
-    ``add(mul(alpha, div(c, add(sqrt(tmean(mul(c, c))), eps))), beta)`` with
-    ``c = sub(raw, tmean(raw))``.
+    ``add(mul(alpha, div(c, add(sqrt(tmean(mul(c, c))), FILTER_NORM_EPS))), beta)``
+    with ``c = sub(raw, tmean(raw))``.
     """
     raw, alpha, beta = as_tensor(raw), as_tensor(alpha), as_tensor(beta)
     axes = (-2, -1)
@@ -836,7 +838,7 @@ def filter_normalize(raw, alpha, beta, eps: float) -> Tensor:
     def normalize():
         centered = raw.data - raw.data.mean(axis=axes, keepdims=True)
         sd = np.sqrt((centered * centered).mean(axis=axes, keepdims=True))
-        den = sd + eps
+        den = sd + FILTER_NORM_EPS
         return centered, sd, den, centered / den
 
     def bw(g):

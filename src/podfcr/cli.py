@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, ablate, infer, gradcheck. Every command
 is deterministic under a fixed seed and config; failures exit nonzero with a
-single machine-parsable ``error:<category>: message`` line on stderr.
+single machine-parsable ``error:<category>: message`` line on stderr, whose
+category ``main`` takes from ``FAILURE_CATEGORIES``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evaluation, experiments, gradcheck, synthetic, tensorfile
-from .config import ConfigError, ModelConfig, load_config
+from .config import ConfigError, load_config, patch_problem
 from .model import CloudRemovalNet
 from .nn import StateDictError
-from .training import (CheckpointError, MissingCheckpoint, TrainingDiverged, load_checkpoint,
-                       model_config_from_meta, read_meta, train)
+from .training import (CheckpointError, MissingCheckpoint, MissingData, TrainingDiverged,
+                       load_checkpoint, model_config_from_meta, read_meta, train)
 
 
 class CliError(Exception):
+    """A failure a command detects itself, with the category it reports."""
+
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
@@ -34,10 +37,8 @@ def cmd_gen_data(args) -> int:
     if args.count < 2:
         raise CliError("usage", f"--count must be at least 2, one train and one test sample; "
                                 f"got {args.count}")
-    try:
-        ModelConfig(patch=args.patch)
-    except ConfigError as exc:
-        raise CliError("usage", f"--patch: {exc}") from exc
+    if problem := patch_problem(args.patch):
+        raise CliError("usage", f"--patch: {problem}")
     out = Path(args.out)
     n_train, n_test = synthetic.build_dataset(args.seed, args.count, args.patch, out)
     records = synthetic.read_manifest(out / "train.manifest")
@@ -58,35 +59,21 @@ def cmd_train(args) -> int:
             log_file.write(msg + "\n")
             log_file.flush()  # a crashed or killed run keeps its log
 
-        try:
-            train(config, log=log, resume=args.resume)
-        except TrainingDiverged as exc:
-            raise CliError("diverged", str(exc)) from exc
-        except MissingCheckpoint as exc:
-            raise CliError("missing-checkpoint", str(exc)) from exc
-        except FileNotFoundError as exc:
-            raise CliError("missing-data", str(exc)) from exc
+        train(config, log=log, resume=args.resume)
     print(f"checkpoint written to {config.checkpoint_dir}")
     return 0
 
 
 def _restore(checkpoint: str) -> CloudRemovalNet:
-    try:
-        meta = read_meta(checkpoint)
-        net = CloudRemovalNet(model_config_from_meta(meta), seed=None)
-        load_checkpoint(checkpoint, net)
-    except FileNotFoundError as exc:
-        raise CliError("missing-checkpoint", str(exc)) from exc
+    net = CloudRemovalNet(model_config_from_meta(read_meta(checkpoint)), seed=None)
+    load_checkpoint(checkpoint, net)
     return net
 
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     net = _restore(args.checkpoint or config.checkpoint_dir)
-    try:
-        report = evaluation.evaluate(config, net, report_path=args.out)
-    except FileNotFoundError as exc:
-        raise CliError("missing-data", str(exc)) from exc
+    report = evaluation.evaluate(config, net, report_path=args.out)
     print(report, end="")
     print(f"report written to {args.out or config.report_path}")
     return 0
@@ -94,11 +81,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
-    try:
-        results = experiments.run_ablation(config)
-    except FileNotFoundError as exc:
-        raise CliError("missing-data", str(exc)) from exc
-    report = experiments.render_ablation_report(results)
+    report = experiments.render_ablation_report(experiments.run_ablation(config))
     out = Path(args.out) if args.out else Path(config.report_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report)
@@ -190,26 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The category of each failure other than a CliError, by exception type, most
+# specific first: the first row that matches names the category. An exception
+# outside the table is a fault of the program and keeps its traceback.
+FAILURE_CATEGORIES = (
+    ((ConfigError,), "config"),
+    ((StateDictError, CheckpointError), "checkpoint"),
+    ((tensorfile.TensorFileError,), "bad-tensorfile"),
+    ((MissingCheckpoint,), "missing-checkpoint"),
+    ((MissingData,), "missing-data"),
+    ((TrainingDiverged,), "diverged"),
+    ((ValueError, OSError), "runtime"),
+)
+_CATEGORIZED = tuple(t for types, _ in FAILURE_CATEGORIES for t in types)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error:{exc.category}: {exc}", file=sys.stderr)
-        return 2 if exc.category == "usage" else 1
-    except ConfigError as exc:
-        print(f"error:config: {exc}", file=sys.stderr)
-        return 1
-    except (StateDictError, CheckpointError) as exc:
-        print(f"error:checkpoint: {exc}", file=sys.stderr)
-        return 1
-    except tensorfile.TensorFileError as exc:
-        print(f"error:bad-tensorfile: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error:runtime: {exc}", file=sys.stderr)
-        return 1
+    except (CliError, *_CATEGORIZED) as exc:
+        category = exc.category if isinstance(exc, CliError) else next(
+            category for types, category in FAILURE_CATEGORIES if isinstance(exc, types))
+        print(f"error:{category}: {exc}", file=sys.stderr)
+        return 2 if category == "usage" else 1
 
 
 if __name__ == "__main__":

@@ -26,6 +26,13 @@ class ConfigError(ValueError):
     pass
 
 
+def patch_problem(patch: int) -> str:
+    """Why ``patch`` is not a usable patch size, or "" when it is."""
+    if patch % 4 != 0 or patch < 8:
+        return f"patch must be a multiple of 4 and at least 8, got {patch}"
+    return ""
+
+
 @dataclass
 class ModelConfig:
     """The fields that fix the network; checkpoints store them in their header."""
@@ -44,8 +51,8 @@ class ModelConfig:
         if self.ablation in _RADAR_ABLATIONS and not self.radar_channels:
             raise ConfigError(f"ablation {self.ablation} removes a radar-branch module, and "
                               "the optical-only model (sar_input = none) has none")
-        if self.patch % 4 != 0 or self.patch < 8:
-            raise ConfigError(f"patch must be a multiple of 4 and at least 8, got {self.patch}")
+        if problem := patch_problem(self.patch):
+            raise ConfigError(problem)
         if self.base_channels < 1:
             raise ConfigError(f"base_channels must be positive, got {self.base_channels}")
 
@@ -86,6 +93,7 @@ class RunConfig(ModelConfig):
     def __post_init__(self):
         super().__post_init__()
         for name, ok, bound in (
+                ("seed", self.seed >= 0, "non-negative"),
                 ("lambda_local", self.lambda_local >= 0, "non-negative"),
                 ("lambda_ssim", self.lambda_ssim >= 0, "non-negative"),
                 ("batch_size", self.batch_size >= 1, "at least 1"),

@@ -170,7 +170,7 @@ OP_CHECKS = {
     "rb_gc": _check(18, _call, [(1, 4, 6, 6)], lambda rng: nn.GatedResidualBlock(rng, 4)),
     "rb_df": _check(19, _call, [(1, 4, 5, 5)], lambda rng: nn.DynamicFilterResidualBlock(rng, 4)),
     "scdf": _check(20, _call, [(1, 4, 5, 5)], lambda rng: nn.SCDF(rng, 4)),
-    "filter_normalize": _check(21, nn.filter_normalize, [(2, 5, 3, 3), (5, 1, 1), (5, 1, 1)]),
+    "filter_normalize": _check(21, ad.filter_normalize, [(2, 5, 3, 3), (5, 1, 1), (5, 1, 1)]),
     "aspp": _check(22, _call, [(1, 4, 6, 6)], lambda rng: nn.ASPP(rng, 4, rates=(2, 4, 6))),
     "mmcf": _check(23, lambda mmcf, a, b: mmcf(a, b)[2], [(1, 3, 5, 5)] * 2,
                    lambda rng: fusion.MMCF(rng, 3)),

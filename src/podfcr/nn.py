@@ -18,7 +18,6 @@ from .autodiff import ShapeError, Tensor
 
 LEAKY_SLOPE = 0.2
 RESIDUAL_SCALE = 0.1
-FILTER_NORM_EPS = 1e-6   # guards the constant-kernel case where the std vanishes
 SCDF_K = 3               # side of every predicted dynamic-filter kernel
 
 
@@ -193,13 +192,7 @@ class FilterNorm(Module):
         self.beta = zeros_param(*shape)
 
     def __call__(self, raw: Tensor) -> Tensor:
-        return filter_normalize(raw, self.alpha, self.beta)
-
-
-def filter_normalize(raw: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
-    """Functional form of FilterNorm over the trailing k*k kernel axes, one
-    fused tape node (``ad.filter_normalize``)."""
-    return ad.filter_normalize(raw, alpha, beta, FILTER_NORM_EPS)
+        return ad.filter_normalize(raw, self.alpha, self.beta)
 
 
 def delta_kernel(k: int) -> np.ndarray:

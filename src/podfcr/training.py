@@ -63,6 +63,11 @@ class MissingCheckpoint(FileNotFoundError):
     """No checkpoint file where one was expected."""
 
 
+class MissingData(FileNotFoundError):
+    """A dataset manifest, or a sample file it lists, that does not exist, or
+    an empty training split."""
+
+
 @dataclass
 class LoadedDataset:
     train: list[SamplePair]
@@ -73,8 +78,11 @@ def load_split(data_dir, split: str) -> list[SamplePair]:
     """The samples listed in ``<data_dir>/<split>.manifest`` ("train" or "test")."""
     manifest = Path(data_dir) / f"{split}.manifest"
     if not manifest.exists():
-        raise FileNotFoundError(f"no {manifest.name} under {data_dir}")
-    return [load_sample(data_dir, rec) for rec in read_manifest(manifest)]
+        raise MissingData(f"no {manifest.name} under {data_dir}")
+    try:
+        return [load_sample(data_dir, rec) for rec in read_manifest(manifest)]
+    except FileNotFoundError as exc:  # a sample file the manifest lists
+        raise MissingData(exc.errno, exc.strerror, exc.filename) from exc
 
 
 def load_dataset(data_dir) -> LoadedDataset:
@@ -287,7 +295,7 @@ def train_step(net: CloudRemovalNet, optimizer: Adam, batch, config: RunConfig
 def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet:
     samples = load_split(config.data_dir, "train")
     if not samples:
-        raise FileNotFoundError(f"no training samples under {config.data_dir}")
+        raise MissingData(f"no training samples under {config.data_dir}")
     net, optimizer = build_net_and_optimizer(config, restore=resume)
     ckpt_dir = Path(config.checkpoint_dir)
     if resume:
@@ -295,36 +303,32 @@ def train(config: RunConfig, log=print, resume: bool = False) -> CloudRemovalNet
         load_checkpoint(ckpt_dir, net, optimizer)
     n = len(samples)
     per_epoch = -(-n // config.batch_size)
-    start_epoch, done_batches = divmod(optimizer.step_count, per_epoch)
     if resume:
-        log(f"resumed from {ckpt_dir} at epoch {start_epoch} step {optimizer.step_count}")
+        log(f"resumed from {ckpt_dir} at epoch {optimizer.step_count // per_epoch} "
+            f"step {optimizer.step_count}")
 
-    done = False
-    for epoch in range(start_epoch, config.epochs):
+    last_step = config.epochs * per_epoch
+    if config.max_steps:
+        last_step = min(last_step, config.max_steps)
+    while optimizer.step_count < last_step:
+        epoch, first = divmod(optimizer.step_count, per_epoch)
+        stop = min(per_epoch, last_step - epoch * per_epoch)
         order = seed_for(config.seed, "shuffle", epoch).permutation(n)
-        first = done_batches * config.batch_size if epoch == start_epoch else 0
         sums = np.zeros(5)
-        batches = 0
-        for lo in range(first, n, config.batch_size):
+        for lo in range(first * config.batch_size, stop * config.batch_size, config.batch_size):
             batch = make_batch([samples[i] for i in order[lo:lo + config.batch_size]],
                                config.sar_input)
             pred, terms = train_step(net, optimizer, batch, config)
             batch_psnr = min(metrics.psnr(np.clip(pred.data, 0.0, 1.0), batch[1].data),
                              metrics.PSNR_CAP_DB)
             sums += (*terms, batch_psnr)
-            batches += 1
-            if config.max_steps and optimizer.step_count >= config.max_steps:
-                done = True
-                break
         step = optimizer.step_count
-        mean = sums / max(batches, 1)
+        mean = sums / (stop - first)
         # save first, so the log never reports an epoch whose checkpoint is missing
         save_checkpoint(ckpt_dir, net, optimizer, step // per_epoch, config)
         log(f"epoch={epoch + 1} step={step} loss_total={mean[0]:.6f} "
             f"loss_global={mean[1]:.6f} loss_local={mean[2]:.6f} loss_ssim={mean[3]:.6f} "
             f"train_psnr={mean[4]:.4f}")
-        if done:
-            break
     return net
 
 

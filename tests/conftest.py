@@ -4,12 +4,14 @@ replace (``chain_*``), each recording one tape node per elementary op, and the
 ``tensordot`` forms of the conv GEMM helpers (``tensordot_conv_*``), whose
 bits the helpers must keep."""
 
+# podfcr first: it sets one BLAS thread before numpy loads OpenBLAS, so the
+# in-process tests run under the thread policy of ``podfcr train``
+import podfcr  # noqa: F401
 import numpy as np
 import pytest
 
 from podfcr import autodiff as ad
-from podfcr.autodiff import BN_EPS, Tensor
-from podfcr.nn import FILTER_NORM_EPS
+from podfcr.autodiff import BN_EPS, FILTER_NORM_EPS, Tensor
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=1, dilation=1):
@@ -70,7 +72,7 @@ def naive_matmul(a, b):
 
 
 def chain_filter_normalize(raw, alpha, beta):
-    """nn.filter_normalize as the chain of elementary ops it fuses."""
+    """ad.filter_normalize as the chain of elementary ops it fuses."""
     m = ad.tmean(raw, axis=(-2, -1), keepdims=True)
     centered = ad.sub(raw, m)
     var = ad.tmean(ad.mul(centered, centered), axis=(-2, -1), keepdims=True)

@@ -4,7 +4,7 @@ import pytest
 from podfcr import autodiff as ad
 from podfcr import nn
 from podfcr.autodiff import ShapeError, Tensor
-from podfcr.nn import delta_kernel, filter_normalize, scdf_apply
+from podfcr.nn import delta_kernel, scdf_apply
 
 from conftest import naive_scdf_apply
 
@@ -59,19 +59,19 @@ class TestGatedResidualBlock:
 class TestFilterNormalize:
     def test_standardizes(self):
         raw = Tensor(np.arange(1.0, 10.0).reshape(1, 3, 3))
-        out = filter_normalize(raw, Tensor(np.ones(1)), Tensor(np.zeros(1)))
+        out = ad.filter_normalize(raw, Tensor(np.ones(1)), Tensor(np.zeros(1)))
         assert abs(out.data.mean()) <= 1e-12
         assert abs(out.data.std() - 1.0) <= 1e-6
 
     def test_constant_kernel_collapses_to_beta(self):
         raw = Tensor(np.full((1, 3, 3), 7.0))
-        out = filter_normalize(raw, Tensor(np.ones(1)), Tensor(np.full(1, 0.25)))
+        out = ad.filter_normalize(raw, Tensor(np.ones(1)), Tensor(np.full(1, 0.25)))
         assert np.allclose(out.data, 0.25, atol=1e-12)
 
     def test_affine_rescale(self, rng):
         raw = Tensor(rng.normal(size=(2, 3, 3)))
-        base = filter_normalize(raw, Tensor(np.ones(1)), Tensor(np.zeros(1)))
-        scaled = filter_normalize(raw, Tensor(np.full(1, 2.0)), Tensor(np.ones(1)))
+        base = ad.filter_normalize(raw, Tensor(np.ones(1)), Tensor(np.zeros(1)))
+        scaled = ad.filter_normalize(raw, Tensor(np.full(1, 2.0)), Tensor(np.ones(1)))
         assert np.max(np.abs(scaled.data - (2.0 * base.data + 1.0))) <= 1e-12
 
     def test_per_kernel_statistics(self, rng):

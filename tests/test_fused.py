@@ -62,14 +62,14 @@ class TestFilterNormalize:
             return lambda r, a, b: op(ad.transpose(r, SCDF_TO_KERNEL_LAST), a, b)
 
         post = lambda y: ad.transpose(y, SCDF_TO_KERNEL_LAST)
-        fused = run(fn(nn.filter_normalize), arrays, grads, post)
+        fused = run(fn(ad.filter_normalize), arrays, grads, post)
         assert_same(fused, run(fn(chain_filter_normalize), arrays, grads, post))
         assert fused[2] == ["transpose", "filter_normalize"]
 
     def test_channel_bank_with_per_channel_alpha(self, rng):
         arrays = [rng.normal(size=(2, 5, 3, 3)), rng.normal(size=(5, 1, 1)),
                   rng.normal(size=(5, 1, 1))]
-        fused = run(nn.filter_normalize, arrays)
+        fused = run(ad.filter_normalize, arrays)
         assert_same(fused, run(chain_filter_normalize, arrays))
         assert fused[2] == ["filter_normalize"]
 
@@ -130,7 +130,7 @@ class TestLinear:
 
 
 def use_chains(monkeypatch):
-    monkeypatch.setattr(nn, "filter_normalize", chain_filter_normalize)
+    monkeypatch.setattr(ad, "filter_normalize", chain_filter_normalize)
     monkeypatch.setattr(nn, "scdf_apply", chain_scdf_apply)
     monkeypatch.setattr(ad, "linear", chain_linear)
     monkeypatch.setattr(ad, "batch_norm", chain_batch_norm)

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import subprocess
@@ -163,7 +164,7 @@ class TestRunConfig:
         ("patch", 10), ("base_channels", 0), ("epochs", 0), ("max_steps", -1),
         ("ablation", "no_gates"), ("learning_rate", 0.0), ("learning_rate", -1.0),
         ("learning_rate", "nan"), ("adam_beta1", 1.0), ("adam_beta1", -0.1),
-        ("adam_beta2", 1.0), ("adam_beta2", "nan"), ("grad_clip", -1.0)])
+        ("adam_beta2", 1.0), ("adam_beta2", "nan"), ("grad_clip", -1.0), ("seed", -1)])
     def test_invalid_value_is_config_error(self, tiny_data, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(format_key_values({"patch": 16, "base_channels": 4, "epochs": 1,
@@ -367,6 +368,18 @@ class TestTraining:
         assert any("step=3" in line for line in logs)
         assert not any("step=4" in line for line in logs)
 
+    @pytest.mark.parametrize("budget", [dict(epochs=3, max_steps=2), dict(epochs=3, max_steps=3),
+                                        dict(epochs=1)], ids=["mid-epoch", "epoch-end", "epochs"])
+    def test_resume_of_a_finished_run_trains_nothing(self, tiny_data, budget):
+        cfg = tiny_config(tiny_data, **budget)  # 6 training samples, 3 steps per epoch
+        train(cfg, log=lambda line: None)
+        path = Path(cfg.checkpoint_dir) / CHECKPOINT_FILE
+        saved = path.read_bytes()
+        logs = []
+        train(cfg, log=logs.append, resume=True)
+        assert [line.split(" at ")[0] for line in logs] == [f"resumed from {cfg.checkpoint_dir}"]
+        assert path.read_bytes() == saved
+
     def test_conv_worker_writes_the_inline_checkpoint(self, tmp_path, monkeypatch):
         # desk-sized convs stay inline, so only a zero threshold sends them to the
         # worker: the weight gradients of the backward and half of the one desk conv
@@ -556,6 +569,89 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:missing-data:")
+
+    # case -> (category, exit code); ``failing_command`` sets each case up
+    FAILURES = {
+        "gen-data-one-sample": ("usage", 2),
+        "train-unknown-key": ("config", 1),
+        "eval-truncated-checkpoint": ("checkpoint", 1),
+        "infer-junk-tensor": ("bad-tensorfile", 1),
+        "resume-without-checkpoint": ("missing-checkpoint", 1),
+        "eval-without-checkpoint": ("missing-checkpoint", 1),
+        "train-without-data": ("missing-data", 1),
+        "train-missing-sample-file": ("missing-data", 1),
+        "eval-without-data": ("missing-data", 1),
+        "ablate-without-data": ("missing-data", 1),   # raised in the spawned workers
+        "train-diverges": ("diverged", 1),
+        "ablate-variant-diverges": ("diverged", 1),
+        "train-checkpoint-dir-not-created": ("runtime", 1),
+        "eval-report-not-written": ("runtime", 1),
+    }
+
+    @staticmethod
+    def failing_command(case, root, monkeypatch) -> list[str]:
+        """Set ``case`` up under ``root``, which holds a dataset; returns its argv."""
+        cfg_path = root / "run.cfg"
+        save_config(tiny_config(root, epochs=1), cfg_path)
+        if case in ("eval-truncated-checkpoint", "infer-junk-tensor", "eval-without-data",
+                    "eval-report-not-written"):
+            assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        if case.endswith("without-data"):
+            save_config(tiny_config(root, epochs=1, data_dir=str(root / "never-generated")),
+                        cfg_path)
+        elif case == "train-diverges":
+            save_config(tiny_config(root, epochs=1, learning_rate=1e300), cfg_path)
+        command = case.split("-")[0]
+        argv = {"train": ["train", "--config", str(cfg_path)],
+                "eval": ["eval", "--config", str(cfg_path)],
+                "ablate": ["ablate", "--config", str(cfg_path)],
+                "resume": ["train", "--config", str(cfg_path), "--resume"],
+                "gen": ["gen-data", "--count", "1", "--out", str(root / "one")]}.get(command)
+        ckpt = root / "ckpt"
+
+        def no_such_file(path):
+            def fail(*args, **kwargs):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            return fail
+
+        if case == "train-unknown-key":
+            cfg_path.write_text(cfg_path.read_text() + "not_a_key = 1\n")
+        elif case == "eval-truncated-checkpoint":
+            path = ckpt / CHECKPOINT_FILE
+            path.write_bytes(path.read_bytes()[:record_start(path, "param.out_conv.bias") + 8])
+        elif case == "infer-junk-tensor":
+            junk = root / "junk.ptf"
+            junk.write_bytes(b"JUNKJUNKJUNK")
+            argv = ["infer", "--checkpoint", str(ckpt), "--in", str(junk), str(junk),
+                    "--out", str(root / "pred.ptf")]
+        elif case == "eval-without-checkpoint":
+            argv += ["--checkpoint", str(root / "absent")]
+        elif case == "train-missing-sample-file":
+            record = read_manifest(root / "data" / "train.manifest")[0]
+            (root / "data" / record.paths["clean"]).unlink()
+        elif case == "ablate-variant-diverges":
+            def diverging(config, log=print):
+                raise TrainingDiverged("non-finite loss at step 2; first non-finite tensor: loss")
+            monkeypatch.setattr(experiments, "run_ablation", diverging)
+        elif case == "train-checkpoint-dir-not-created":
+            monkeypatch.setattr(training, "save_checkpoint", no_such_file(str(ckpt)))
+        elif case == "eval-report-not-written":
+            monkeypatch.setattr(Path, "write_text", no_such_file(str(root / "report.txt")))
+        return argv
+
+    @pytest.mark.parametrize("case", list(FAILURES))
+    def test_failure_category(self, tiny_data, capsys, monkeypatch, case):
+        argv = self.failing_command(case, tiny_data, monkeypatch)
+        capsys.readouterr()
+        code = cli_main(argv)
+        category, exit_code = self.FAILURES[case]
+        err = capsys.readouterr().err
+        assert code == exit_code
+        assert err.startswith(f"error:{category}: ") and len(err.splitlines()) == 1, err
+
+    def test_failure_cases_reach_every_category(self):
+        assert {category for _, category in cli.FAILURE_CATEGORIES} <= {
+            category for category, _ in self.FAILURES.values()}
 
     def test_train_writes_log_file(self, tiny_data, tmp_path, capsys):
         cfg = tiny_config(tiny_data, epochs=1, log_path=str(tmp_path / "train.log"))
