@@ -36,6 +36,18 @@ into an array it has passed to ``_give``, because ``_give`` may keep that
 array as a gradient, and ``add`` hands one array to both of its parents. The
 chains stay in ``tests/conftest.py`` as the oracles of the fused ops.
 
+The tape keeps what backward reads. ``conv2d`` with a ``slope`` ends in a
+LeakyReLU epilogue: one node adds the bias, applies ``maximum(y, slope * y)``
+and keeps the activated output, never the pre-activation. For a slope in
+(0, 1] the output is positive exactly where its input is (NaN included), so
+backward forms ``where(out > 0, g, slope * g)``, which has the bits of
+``leaky_relu``'s ``g * where(a > 0, 1, slope)``, and goes on with the conv's
+VJPs. The network fuses only a conv whose one consumer is its activation and
+that ran right after it in the walk, so every gradient keeps its order.
+``unfold`` returns a read-only strided view over its padded input in place of
+a k*k-fold copy; ``tap_sum`` forms its products from it in C order, so its
+sums keep the bits of the copy.
+
 Only pure numpy work may leave the calling thread, for one worker thread
 (see ``CONV_OVERLAP_MIN``), in two places. Outside a backward walk, a large
 convolution forward computes one half of its output there (split along the
@@ -344,6 +356,11 @@ def relu(a) -> Tensor:
                  "relu")
 
 
+def _check_slope(op: str, alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"{op}: slope {alpha} is outside (0, 1]")
+
+
 def leaky_relu(a, alpha: float) -> Tensor:
     """LeakyReLU for a slope ``0 < alpha <= 1``; the subgradient at 0 takes the
     negative-slope branch.
@@ -355,8 +372,7 @@ def leaky_relu(a, alpha: float) -> Tensor:
     arithmetic produces, passes through unquieted. At ``alpha = 0`` the two
     differ on +inf (``0 * inf`` is NaN), so the range excludes it.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"leaky_relu: slope {alpha} is outside (0, 1]")
+    _check_slope("leaky_relu", alpha)
     a = as_tensor(a)
     return _node(np.maximum(a.data, alpha * a.data), (a,),
                  lambda g: _give(a, lambda: g * np.where(a.data > 0.0, 1.0, alpha)), "leaky_relu")
@@ -639,12 +655,13 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _conv(op: str, x, weight, bias, stride: int, padding: int, dilation: int,
-          transposed: bool) -> Tensor:
+          transposed: bool, slope: float | None = None) -> Tensor:
     """conv2d, or with ``transposed`` its adjoint conv_transpose2d.
 
     The two swap which of _conv_fwd and _conv_dx is the forward and which the
     input VJP, and which side of _conv_dw the input and the output gradient
-    take; they share the operand checks and the bias gradient.
+    take; they share the operand checks and the bias gradient. With a
+    ``slope``, the node ends in the LeakyReLU epilogue (see ``conv2d``).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4:
@@ -670,8 +687,12 @@ def _conv(op: str, x, weight, bias, stride: int, padding: int, dilation: int,
         y = _conv_fwd(x.data, weight.data, stride, padding, dilation)
     if bias is not None:
         y = y + bias.data[None, :, None, None]
+    if slope is not None:
+        y = np.maximum(y, slope * y)  # leaky_relu's forward
 
     def bw(g):
+        if slope is not None:  # leaky_relu's VJP, its mask read from the output
+            g = np.where(y > 0.0, g, slope * g)
         if transposed:
             dx = lambda: _conv_fwd(g, weight.data, stride, padding, dilation)
             dw_args = (g, x.data, weight.shape[2:], stride, padding, dilation)
@@ -691,9 +712,14 @@ def _conv(op: str, x, weight, bias, stride: int, padding: int, dilation: int,
     return _node(y, (x, weight) if bias is None else (x, weight, bias), bw, op)
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: int = 1) -> Tensor:
-    """2-D cross-correlation of NCHW input with (C_out, C_in, kh, kw) weights."""
-    return _conv("conv2d", x, weight, bias, stride, padding, dilation, False)
+def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0, dilation: int = 1,
+           slope: float | None = None) -> Tensor:
+    """2-D cross-correlation of NCHW input with (C_out, C_in, kh, kw) weights;
+    with a ``slope`` in (0, 1], one node with the bits of
+    ``leaky_relu(conv2d(...), slope)`` (the epilogue of the module docstring)."""
+    if slope is not None:
+        _check_slope("conv2d", slope)
+    return _conv("conv2d", x, weight, bias, stride, padding, dilation, False, slope)
 
 
 def conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -704,7 +730,9 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 1, padding: int = 0) ->
 
 
 def unfold(x, kernel: int = 3) -> Tensor:
-    """Sliding k*k patches of an NCHW tensor, zero padded by k // 2, as (N, C, k*k, H, W)."""
+    """Sliding k*k patches of an NCHW tensor, zero padded by k // 2, as a
+    read-only (N, C, k, k, H, W) strided view over the padded input, which
+    holds the patches in 1x the input's memory in place of a k*k-fold copy."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"unfold: input must be NCHW rank 4, got shape {x.shape}")
@@ -713,10 +741,9 @@ def unfold(x, kernel: int = 3) -> Tensor:
     ho = conv_out_size(x.shape[2], k, 1, padding, 1)
     wo = conv_out_size(x.shape[3], k, 1, padding, 1)
     cols = _patch_view(_pad_hw(x.data, padding), k, k, 1, 1, ho, wo)
-    taps = cols.shape
-    out = np.ascontiguousarray(cols).reshape(x.shape[0], x.shape[1], k * k, ho, wo)
-    return _node(out, (x,), lambda g: _give(
-        x, lambda: _col2im(g.reshape(taps), x.shape[2], x.shape[3], 1, 1, padding)), "unfold")
+    cols.flags.writeable = False
+    return _node(cols, (x,), lambda g: _give(
+        x, lambda: _col2im(g, x.shape[2], x.shape[3], 1, 1, padding)), "unfold")
 
 
 # ---------------------------------------------------------------------------
@@ -875,19 +902,29 @@ def linear(x, weight, bias) -> Tensor:
 
 
 def tap_sum(patches, spatial, channel) -> Tensor:
-    """``sum_j patches[:, :, j] * spatial[:, :, j] * channel[:, :, j]`` over
-    the tap axis 2, the three broadcasting against each other; one fused node
-    replaying ``tsum(mul(mul(patches, spatial), channel), axis=2)``."""
+    """``sum_uv patches[:, :, u, v] * spatial[:, :, u, v] * channel[:, :, u, v]``
+    over the tap axes 2 and 3, the three (N, C, k, k, H, W) operands
+    broadcasting against each other; one fused node replaying
+    ``tsum(mul(mul(patches, spatial), channel), axis=2)`` over the taps merged
+    into one axis of k*k, as ``unfold`` once copied them.
+
+    ``patches`` may be ``unfold``'s strided view. Every product with it is
+    formed in C order, so the sums over the taps and over broadcast axes run
+    in the order they ran on the merged, contiguous copy and keep its bits.
+    """
     patches, spatial, channel = as_tensor(patches), as_tensor(spatial), as_tensor(channel)
 
     def bw(g):
-        g = np.expand_dims(g, 2)  # tsum's broadcast copy left as a broadcast: same values
+        g = g[:, :, None, None]  # tsum's broadcast copy left as a broadcast: same values
         g_ps = g * channel.data
-        _give(channel, lambda: g * (patches.data * spatial.data))
+        _give(channel, lambda: g * np.multiply(patches.data, spatial.data, order="C"))
         _give(patches, lambda: g_ps * spatial.data)
-        _give(spatial, lambda: g_ps * patches.data)
+        _give(spatial, lambda: np.multiply(g_ps, patches.data, order="C"))
 
-    out = (patches.data * spatial.data * channel.data).sum(axis=2)
+    prod = np.multiply(patches.data, spatial.data, order="C")
+    prod *= channel.data
+    n, c, k, _, h, w = prod.shape
+    out = prod.reshape(n, c, k * k, h, w).sum(axis=2)
     return _node(out, (patches, spatial, channel), bw, "tap_sum")
 
 

@@ -52,15 +52,19 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
+    saved = []  # train logs each epoch once its checkpoint is written
     # a resumed run appends, so the log of the run it continues is kept
     with open(config.log_path or os.devnull, "a" if args.resume else "w") as log_file:
         def log(msg):
             print(msg)
             log_file.write(msg + "\n")
             log_file.flush()  # a crashed or killed run keeps its log
+            if msg.startswith("epoch="):
+                saved.append(msg)
 
         train(config, log=log, resume=args.resume)
-    print(f"checkpoint written to {config.checkpoint_dir}")
+    if saved:  # a resume of a finished run trains and writes nothing
+        print(f"checkpoint written to {config.checkpoint_dir}")
     return 0
 
 

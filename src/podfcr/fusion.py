@@ -21,7 +21,7 @@ class MMCF(nn.Module):
     Per stream: three conv stages; the optical stream uses gated convs (their
     internal activation mirrors the radar stream's LeakyReLU-after-conv so
     mirrored parameters with open gates make the streams identical), or with
-    ``gated=False`` plain convs, each followed by the LeakyReLU that a gated
+    ``gated=False`` plain convs, each ending in the LeakyReLU that a gated
     conv applies itself. Stage 2 adds the 1x1-projected stage-1 feature of
     the other stream; stage 3 adds both earlier cross terms. The fused output
     is the channel concat of the two stage-3 features (2C channels).
@@ -32,7 +32,8 @@ class MMCF(nn.Module):
     def __init__(self, rng, channels: int, gated: bool = True, cross: bool = True):
         self.cross = cross
         conv = nn.GatedConv2d if gated else nn.Conv2d
-        self.opt_act = nn.identity if gated else nn.act
+        # a gated conv applies its activation inside, a plain one as its epilogue
+        self.opt_stage = nn.GatedConv2d.__call__ if gated else nn.Conv2d.activated
         self.opt_convs = [conv(rng, channels, channels) for _ in range(3)]
         self.sar_convs = [nn.Conv2d(rng, channels, channels) for _ in range(3)]
         if cross:
@@ -45,22 +46,22 @@ class MMCF(nn.Module):
     def __call__(self, f_opt: Tensor, f_sar: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         if f_opt.shape != f_sar.shape:
             raise ShapeError(f"MMCF: modality shapes differ, {f_opt.shape} vs {f_sar.shape}")
-        f1o = self.opt_act(self.opt_convs[0](f_opt))
-        f1s = nn.act(self.sar_convs[0](f_sar))
+        f1o = self.opt_stage(self.opt_convs[0], f_opt)
+        f1s = self.sar_convs[0].activated(f_sar)
 
         in2o, in2s = f1o, f1s
         if self.cross:
             in2o = ad.add(f1o, self.cross_to_opt[0](f1s))
             in2s = ad.add(f1s, self.cross_to_sar[0](f1o))
-        f2o = self.opt_act(self.opt_convs[1](in2o))
-        f2s = nn.act(self.sar_convs[1](in2s))
+        f2o = self.opt_stage(self.opt_convs[1], in2o)
+        f2s = self.sar_convs[1].activated(in2s)
 
         in3o, in3s = f2o, f2s
         if self.cross:
             in3o = ad.add(f2o, ad.add(self.cross_to_opt[1](f1s), self.cross_to_opt[2](f2s)))
             in3s = ad.add(f2s, ad.add(self.cross_to_sar[1](f1o), self.cross_to_sar[2](f2o)))
-        f3o = self.opt_act(self.opt_convs[2](in3o))
-        f3s = nn.act(self.sar_convs[2](in3s))
+        f3o = self.opt_stage(self.opt_convs[2], in3o)
+        f3s = self.sar_convs[2].activated(in3s)
 
         return f3o, f3s, ad.concat([f3o, f3s], axis=1)
 

@@ -41,7 +41,7 @@ def sam(pred: np.ndarray, target: np.ndarray) -> float:
 
     Inputs are (C, H, W) or (N, C, H, W); the angle is taken between the
     C-vectors at each pixel. Pixels where either spectrum is all zero
-    contribute zero angle.
+    contribute zero angle; a non-finite spectrum gives NaN.
     """
     a = np.asarray(pred, dtype=np.float64)
     b = np.asarray(target, dtype=np.float64)
@@ -51,7 +51,7 @@ def sam(pred: np.ndarray, target: np.ndarray) -> float:
     vecs_b = b.transpose(0, 2, 3, 1).reshape(-1, b.shape[1])
     na = np.linalg.norm(vecs_a, axis=1)
     nb = np.linalg.norm(vecs_b, axis=1)
-    ok = (na > 0.0) & (nb > 0.0)
+    ok = (na != 0.0) & (nb != 0.0)  # a NaN norm is not zero, so its angle is NaN
     angles = np.zeros(len(vecs_a))
     if np.any(ok):
         ua = vecs_a[ok] / na[ok, None]

@@ -94,8 +94,7 @@ class CloudRemovalNet(nn.Module):
                 f"forward: cloudy input must be (N,{OPTICAL_CHANNELS},P,P), got {cloudy.shape}")
         if cloudy.shape[2] != cfg.patch or cloudy.shape[3] != cfg.patch:
             raise ShapeError(f"forward: expected patch {cfg.patch}, got {cloudy.shape}")
-        if cloudy.data.min() < -1e-9 or cloudy.data.max() > 1.0 + 1e-9:
-            raise ValueError("forward: cloudy input must be normalized to [0, 1]")
+        _check_range("cloudy", cloudy)
         if cfg.radar_channels:
             if sar is None:
                 raise ShapeError("forward: the dual-stream model needs a radar input")
@@ -105,8 +104,7 @@ class CloudRemovalNet(nn.Module):
             if sar.shape[0] != cloudy.shape[0] or sar.shape[2:] != cloudy.shape[2:]:
                 raise ShapeError(
                     f"forward: radar shape {sar.shape} does not match optical {cloudy.shape}")
-            if sar.data.min() < -1e-9 or sar.data.max() > 1.0 + 1e-9:
-                raise ValueError("forward: radar input must be normalized to [0, 1]")
+            _check_range("radar", sar)
 
     def forward(self, cloudy: Tensor, sar: Tensor | None, training: bool = False) -> Tensor:
         cloudy = ad.as_tensor(cloudy)
@@ -125,26 +123,35 @@ class CloudRemovalNet(nn.Module):
 
     def _encode_optical(self, cloudy: Tensor, sar: Tensor | None, training: bool):
         """Deepest feature and the two skips of the optical branch alone."""
-        o1 = self.opt_rb1(nn.act(self.opt_stem(cloudy)))
+        o1 = self.opt_rb1(self.opt_stem.activated(cloudy))
         o2 = self.opt_rb2(self.opt_down1(o1, training))
         o4 = self.opt_rb4(self.opt_rb3(self.opt_down2(o2, training)))
-        return nn.act(self.opt_exit(o4)), o1, o2
+        return self.opt_exit.activated(o4), o1, o2
 
     def _encode_dual(self, cloudy: Tensor, sar: Tensor, training: bool):
         """Refined deepest feature and the two (optical) skips, both branches fused."""
-        o1, s1, fused1 = self.mmcf1(self.opt_rb1(nn.act(self.opt_stem(cloudy))),
-                                    self.sar_rb1(nn.act(self.sar_stem(sar))))
+        o1, s1, fused1 = self.mmcf1(self.opt_rb1(self.opt_stem.activated(cloudy)),
+                                    self.sar_rb1(self.sar_stem.activated(sar)))
         o2, s2, fused2 = self.mmcf2(self.opt_rb2(self.opt_down1(o1, training)),
                                     self.sar_rb2(self.sar_down1(s1, training)))
         o3, s3, fused3 = self.mmcf3(self.opt_rb3(self.opt_down2(o2, training)),
                                     self.sar_rb3(self.sar_down2(s2, training)))
         o4, s4, fused4 = self.mmcf4(self.opt_rb4(o3), self.sar_rb4(s3))
-        opt_feat = nn.act(self.opt_exit(o4))
-        sar_feat = nn.act(self.sar_exit(s4))
+        opt_feat = self.opt_exit.activated(o4)
+        sar_feat = self.sar_exit.activated(s4)
         f1 = ad.avg_pool2d(ad.avg_pool2d(fused1, 2), 2)
         f2 = ad.avg_pool2d(fused2, 2)
-        fus_feat = nn.act(self.fus_exit(ad.concat([f1, f2, fused3, fused4], axis=1)))
+        fus_feat = self.fus_exit.activated(ad.concat([f1, f2, fused3, fused4], axis=1))
         return self.mmrf(opt_feat, sar_feat, fus_feat), o1, o2
+
+
+def _check_range(name: str, x: Tensor) -> None:
+    """Reject an input that is not finite or not normalized to [0, 1]; a NaN
+    passes any comparison with the range, so finiteness is tested first."""
+    if not np.isfinite(x.data).all():
+        raise ValueError(f"forward: {name} input holds non-finite values")
+    if x.data.min() < -1e-9 or x.data.max() > 1.0 + 1e-9:
+        raise ValueError(f"forward: {name} input must be normalized to [0, 1]")
 
 
 def _concat_refine(conv: nn.Conv2d, *branches: Tensor) -> Tensor:

@@ -119,6 +119,11 @@ class Conv2d(Module):
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride,
                          padding=self.padding, dilation=self.dilation)
 
+    def activated(self, x: Tensor) -> Tensor:
+        """``act(self(x))`` as one node: the conv with its activation epilogue."""
+        return ad.conv2d(x, self.weight, self.bias, stride=self.stride,
+                         padding=self.padding, dilation=self.dilation, slope=LEAKY_SLOPE)
+
 
 class ConvTranspose2d(Module):
     """4x4 transposed convolution, stride 2, padding 1: doubles H and W."""
@@ -169,13 +174,17 @@ class GatedConv2d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return gated_conv(x, self.feat.weight, self.gate.weight, self.feat.bias, self.gate.bias)
 
+    def activated(self, x: Tensor) -> Tensor:
+        """``act(self(x))``; the gate product is no conv, so the activation is a node."""
+        return act(self(x))
+
 
 def gated_conv(x: Tensor, feat_weight: Tensor, gate_weight: Tensor,
                feat_bias: Tensor, gate_bias: Tensor) -> Tensor:
     """Functional gated convolution: two parallel 3x3 kernels, stride 1, padding 1."""
-    feat = ad.conv2d(x, feat_weight, feat_bias, padding=1)
+    feat = ad.conv2d(x, feat_weight, feat_bias, padding=1, slope=LEAKY_SLOPE)
     gate = ad.conv2d(x, gate_weight, gate_bias, padding=1)
-    return ad.mul(act(feat), ad.sigmoid(gate))
+    return ad.mul(feat, ad.sigmoid(gate))
 
 
 class FilterNorm(Module):
@@ -258,7 +267,7 @@ def scdf_apply(x: Tensor, spatial: Tensor, channel: Tensor) -> Tensor:
 
     ``spatial`` is (N,1,k,k,H,W); ``channel`` is (C,k,k) or (N,C,k,k) and
     broadcasts over pixels. k must be odd; padding keeps the shape. The tap
-    product is one fused node, ``ad.tap_sum``.
+    product is one fused node, ``ad.tap_sum``, over ``unfold``'s patch view.
     ``unfold`` stays its own node: folded in, it would hand x its gradient at
     another point of the walk, and x's sum would change its rounding.
     """
@@ -270,19 +279,15 @@ def scdf_apply(x: Tensor, spatial: Tensor, channel: Tensor) -> Tensor:
         raise ShapeError(f"scdf_apply: spatial bank {spatial.shape} does not match input {x.shape}")
     if channel.shape not in ((c, k, k), (n, c, k, k)):
         raise ShapeError(f"scdf_apply: channel bank {channel.shape} does not match {c} channels")
-    patches = ad.unfold(x, kernel=k)                               # (N, C, k*k, H, W)
-    sp = ad.reshape(spatial, (n, 1, k * k, h, w))
-    ch_shape = (1, c, k * k, 1, 1) if channel.ndim == 3 else (n, c, k * k, 1, 1)
-    ch = ad.reshape(channel, ch_shape)
-    return ad.tap_sum(patches, sp, ch)
+    patches = ad.unfold(x, kernel=k)                               # (N, C, k, k, H, W)
+    ch_shape = (1, c, k, k, 1, 1) if channel.ndim == 3 else (n, c, k, k, 1, 1)
+    return ad.tap_sum(patches, spatial, ad.reshape(channel, ch_shape))
 
 
 def _residual_call(block: Module, x: Tensor) -> Tensor:
     """y = x + 0.1 * B(x), B = conv -> act -> conv -> act -> conv over ``block.convs``."""
-    b = block.convs[0](x)
-    b = block.convs[1](act(b))
-    b = block.convs[2](act(b))
-    return ad.add(x, ad.scale(b, RESIDUAL_SCALE))
+    b = block.convs[1].activated(block.convs[0].activated(x))
+    return ad.add(x, ad.scale(block.convs[2](b), RESIDUAL_SCALE))
 
 
 class GatedResidualBlock(Module):
@@ -321,10 +326,9 @@ class DynamicFilterResidualBlock(Module):
         self.filters = [SCDF(rng, channels) if use_scdf else identity for _ in range(2)]
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = self.filters[0](act(self.convs[0](x)))
-        b = self.filters[1](act(self.convs[1](b)))
-        b = act(self.convs[2](b))
-        return ad.add(x, ad.scale(b, RESIDUAL_SCALE))
+        b = self.filters[0](self.convs[0].activated(x))
+        b = self.filters[1](self.convs[1].activated(b))
+        return ad.add(x, ad.scale(self.convs[2].activated(b), RESIDUAL_SCALE))
 
 
 class Downsample(Module):
@@ -373,4 +377,4 @@ class ASPP(Module):
         branches += [conv(x) for conv in self.atrous]
         pooled = self.pool_conv(ad.global_avg_pool(x))
         branches.append(ad.broadcast_to(pooled, x.shape))
-        return act(self.fuse(ad.concat(branches, axis=1)))
+        return self.fuse.activated(ad.concat(branches, axis=1))

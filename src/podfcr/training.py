@@ -276,11 +276,17 @@ def build_net_and_optimizer(config: RunConfig, restore: bool = False
 def train_step(net: CloudRemovalNet, optimizer: Adam, batch, config: RunConfig
                ) -> tuple[ad.Tensor, tuple[float, float, float, float]]:
     """One optimizer step on a ``make_batch`` tuple; returns the prediction
-    and the loss total with its three terms."""
+    and the loss total with its three terms.
+
+    The forward and the loss run without numpy's floating-point warnings: a
+    non-finite value they make reaches the loss, which the divergence check
+    reports as one ``TrainingDiverged``.
+    """
     cloudy, clean, mask, sar = batch
-    pred = net.forward(cloudy, sar, training=True)
-    total, lg, ll, ls = losses.loss_components(
-        pred, clean, mask, config.lambda_local, config.lambda_ssim)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pred = net.forward(cloudy, sar, training=True)
+        total, lg, ll, ls = losses.loss_components(
+            pred, clean, mask, config.lambda_local, config.lambda_ssim)
     value = total.item()
     if not np.isfinite(value):
         culprit = ad.first_nonfinite_op(total, net.named_parameters()) or "loss"

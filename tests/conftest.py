@@ -1,6 +1,7 @@
 """Shared oracles: naive reference implementations kept independent of the
 library's vectorized code paths, the op chains that the fused tape ops
-replace (``chain_*``), each recording one tape node per elementary op, and the
+replace (``chain_*``), each recording one tape node per elementary op, the
+copying ``unfold`` that the patch view replaced (``copying_unfold``), and the
 ``tensordot`` forms of the conv GEMM helpers (``tensordot_conv_*``), whose
 bits the helpers must keep."""
 
@@ -104,13 +105,36 @@ def chain_batch_norm(x, gamma, beta, running_mean, running_var, training):
     return ad.add(ad.mul(g4, xhat), b4)
 
 
+_CONV2D = ad.conv2d   # the op itself, for chain_conv2d once a test patches it in
+
+
+def chain_conv2d(x, weight, bias=None, stride=1, padding=0, dilation=1, slope=None):
+    """ad.conv2d, with a ``slope`` as the conv and ``leaky_relu`` nodes its
+    epilogue fuses."""
+    y = _CONV2D(x, weight, bias, stride=stride, padding=padding, dilation=dilation)
+    return y if slope is None else ad.leaky_relu(y, slope)
+
+
+def copying_unfold(x, kernel=3):
+    """ad.unfold as a contiguous (N, C, k*k, H, W) copy of the patches."""
+    x = ad.as_tensor(x)
+    k = kernel
+    padding = k // 2
+    cols = ad._patch_view(ad._pad_hw(x.data, padding), k, k, 1, 1, x.shape[2], x.shape[3])
+    taps = cols.shape
+    out = np.ascontiguousarray(cols).reshape(x.shape[0], x.shape[1], k * k, *x.shape[2:])
+    return ad._node(out, (x,), lambda g: ad._give(
+        x, lambda: ad._col2im(g.reshape(taps), x.shape[2], x.shape[3], 1, 1, padding)), "unfold")
+
+
 def chain_scdf_apply(x, spatial, channel):
-    """nn.scdf_apply with its tap product as a chain (no shape checks)."""
+    """nn.scdf_apply over the copied patches, with its tap product as a chain
+    over the merged tap axis (no shape checks)."""
     x = ad.as_tensor(x)
     spatial, channel = ad.as_tensor(spatial), ad.as_tensor(channel)
     n, c, h, w = x.shape
     k = spatial.shape[2]
-    patches = ad.unfold(x, kernel=k)
+    patches = copying_unfold(x, kernel=k)
     sp = ad.reshape(spatial, (n, 1, k * k, h, w))
     ch_shape = (1, c, k * k, 1, 1) if channel.ndim == 3 else (n, c, k * k, 1, 1)
     ch = ad.reshape(channel, ch_shape)

@@ -188,8 +188,10 @@ class TestElementwise:
     def test_unfold_center_tap_is_input(self, rng):
         x = rng.normal(size=(2, 3, 5, 5))
         out = ad.unfold(Tensor(x), kernel=3)
-        assert out.shape == (2, 3, 9, 5, 5)
-        assert np.array_equal(out.data[:, :, 4], x)
+        assert out.shape == (2, 3, 3, 3, 5, 5)
+        assert np.array_equal(out.data[:, :, 1, 1], x)
+        assert not out.data.flags.writeable  # a view over the padded input
+        assert out.data.base is not None
 
 
 class TestBatchNorm:

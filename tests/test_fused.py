@@ -2,7 +2,9 @@
 
 Each fused op records one node whose VJP replays its chain's VJPs in the
 chain's order, so outputs, gradients and whole training steps must match the
-chain bit for bit, not merely within a tolerance.
+chain bit for bit, not merely within a tolerance. The same holds for the conv
+activation epilogue against ``leaky_relu(conv2d(...))`` and for the tap
+product over ``unfold``'s patch view against the copied patches.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from podfcr.config import RunConfig
 from podfcr.synthetic import make_sample
 from podfcr.training import build_net_and_optimizer, make_batch, train_step
 
-from conftest import chain_batch_norm, chain_filter_normalize, chain_linear, chain_scdf_apply
+from conftest import (chain_batch_norm, chain_conv2d, chain_filter_normalize, chain_linear,
+                      chain_scdf_apply, copying_unfold)
 
 SCDF_TO_KERNEL_LAST = (0, 1, 4, 5, 2, 3)   # nn.SCDF.predict's transpose, its own inverse
 
@@ -83,7 +86,61 @@ class TestScdfApply:
                   rng.normal(size=channel)]
         fused = run(nn.scdf_apply, arrays)
         assert_same(fused, run(chain_scdf_apply, arrays))
-        assert fused[2] == ["unfold", "reshape", "reshape", "tap_sum"]
+        assert fused[2] == ["unfold", "reshape", "tap_sum"]
+
+
+class TestConvEpilogue:
+    """``conv2d`` with a slope against ``leaky_relu(conv2d(...))``."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("grads", [None, [False, True, True]], ids=["all", "no-x"])
+    @pytest.mark.parametrize("stride,dilation", [(1, 1), (2, 1), (1, 2)],
+                             ids=["stride1", "stride2", "dilation2"])
+    def test_matches_the_chain(self, rng, n, grads, stride, dilation):
+        arrays = [rng.normal(size=(n, 3, 9, 9)), rng.normal(size=(4, 3, 3, 3)),
+                  rng.normal(size=4)]
+        self.check(arrays, grads, stride=stride, padding=dilation, dilation=dilation)
+
+    def test_deferred_weight_gradient(self, rng, monkeypatch):
+        # an output gradient of CONV_OVERLAP_MIN elements: dW runs on the worker
+        arrays = [rng.normal(size=(2, 4, 32, 32)), rng.normal(size=(8, 4, 3, 3)),
+                  rng.normal(size=8)]
+        assert 2 * 8 * 32 * 32 >= ad.CONV_OVERLAP_MIN
+        deferred = []
+        defer = ad._defer
+
+        def recording_defer(t, result):
+            deferred.append(t.shape)
+            defer(t, result)
+
+        monkeypatch.setattr(ad, "_defer", recording_defer)
+        self.check(arrays, None, padding=1)
+        assert deferred == [(8, 4, 3, 3), (8, 4, 3, 3)]  # once fused, once in the chain
+
+    def test_bits_of_zeros_and_nans(self, rng):
+        """An output of exactly zero takes the negative slope, and a NaN
+        input gives NaN gradients with the chain's bits."""
+        x = rng.normal(size=(1, 2, 6, 6))
+        x[0, 1, 2, 3] = np.nan
+        weight = rng.normal(size=(3, 2, 3, 3))
+        weight[0] = 0.0   # channel 0 outputs its bias, 0, away from the NaN
+        bias = np.array([0.0, -0.5, 0.5])
+        fused = run(lambda *t: ad.conv2d(*t, padding=1, slope=0.2), [x, weight, bias])
+        chain = run(lambda *t: chain_conv2d(*t, padding=1, slope=0.2), [x, weight, bias])
+        for a, b in zip([fused[0], *fused[1]], [chain[0], *chain[1]]):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert np.isnan(fused[1][1]).any()
+
+    @pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan])
+    def test_slope_outside_the_unit_interval_is_rejected(self, slope):
+        with pytest.raises(ValueError, match="conv2d: slope"):
+            ad.conv2d(Tensor(np.zeros((1, 1, 3, 3))), Tensor(np.zeros((1, 1, 1, 1))), slope=slope)
+
+    @staticmethod
+    def check(arrays, grads, **conv):
+        fused = run(lambda *t: ad.conv2d(*t, slope=0.2, **conv), arrays, grads)
+        assert_same(fused, run(lambda *t: chain_conv2d(*t, slope=0.2, **conv), arrays, grads))
+        assert fused[2] == ["conv2d"]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -130,6 +187,8 @@ class TestLinear:
 
 
 def use_chains(monkeypatch):
+    monkeypatch.setattr(ad, "conv2d", chain_conv2d)
+    monkeypatch.setattr(ad, "unfold", copying_unfold)
     monkeypatch.setattr(ad, "filter_normalize", chain_filter_normalize)
     monkeypatch.setattr(nn, "scdf_apply", chain_scdf_apply)
     monkeypatch.setattr(ad, "linear", chain_linear)
@@ -160,15 +219,33 @@ def test_training_steps_match_the_chains(monkeypatch, ablation):
 
 
 # Op nodes of one desk-shape (patch 32, width 8, batch 1) training forward and
-# loss. Each fused op is one node where its chain was 3 to 11, so a fused op
+# loss. Each fused op is one node where its chain was 2 to 11, so a fused op
 # that falls back to its chain raises this count and with it the tape's RSS.
-DESK_TAPE_OP_NODES = 602
+DESK_TAPE_OP_NODES = 532
+# The bytes those nodes' outputs hold, each base buffer counted once: a view
+# (a reshape's output, unfold's patches) costs nothing beyond its base. A
+# pre-activation or a patch copy kept again would raise it.
+DESK_TAPE_BYTES = 12_278_720
 
 
-def test_desk_tape_op_node_count():
+def desk_tape():
     cfg = RunConfig(seed=0, patch=32, base_channels=8, batch_size=1)
     net, _ = build_net_and_optimizer(cfg)
     cloudy, clean, mask, sar = make_batch([make_sample(0, 0, cfg.patch)], cfg.sar_input)
     pred = net.forward(cloudy, sar, training=True)
-    total = losses.loss_total(pred, clean, mask, cfg.lambda_local, cfg.lambda_ssim)
-    assert len(op_nodes(total)) == DESK_TAPE_OP_NODES
+    return losses.loss_total(pred, clean, mask, cfg.lambda_local, cfg.lambda_ssim)
+
+
+def test_desk_tape_op_node_count():
+    assert len(op_nodes(desk_tape())) == DESK_TAPE_OP_NODES
+
+
+def test_desk_tape_bytes():
+    buffers = {}
+    for t in ad._topo(desk_tape()):
+        if t._op != "leaf":
+            base = t.data
+            while base.base is not None:  # as_strided's base is a wrapper with a .base
+                base = base.base
+            buffers[id(base)] = base.nbytes
+    assert sum(buffers.values()) == DESK_TAPE_BYTES

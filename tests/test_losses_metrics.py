@@ -155,6 +155,15 @@ class TestMetrics:
         b[1] = 1.0
         assert abs(metrics.sam(a, b) - 90.0) <= 1e-9
 
+    def test_sam_of_a_nan_spectrum_is_nan_and_of_a_zero_spectrum_zero(self, rng):
+        x = rng.uniform(0.1, 1.0, (4, 6, 6))
+        y = x.copy()
+        y[:, 2, 3] = 0.0
+        assert metrics.sam(x, y) == 0.0  # the zero spectrum adds a zero angle
+        y[1, 2, 3] = np.nan
+        assert np.isnan(metrics.sam(x, y))
+        assert np.isnan(metrics.sam(y, x))
+
     def test_cc_affine_invariance(self, rng):
         x = rng.uniform(0, 1, (4, 5, 5))
         assert abs(metrics.cc(3.0 * x + 0.2, x) - 1.0) <= 1e-9

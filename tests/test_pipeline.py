@@ -34,6 +34,12 @@ def tiny_config(tmp_path, **overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def child_env(env) -> dict:
+    """``env`` with this checkout's sources first on PYTHONPATH, for a child process."""
+    src = str(Path(ad.__file__).parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
 @pytest.fixture
 def tiny_data(tmp_path):
     build_dataset(0, 8, 16, tmp_path / "data")
@@ -370,7 +376,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("budget", [dict(epochs=3, max_steps=2), dict(epochs=3, max_steps=3),
                                         dict(epochs=1)], ids=["mid-epoch", "epoch-end", "epochs"])
-    def test_resume_of_a_finished_run_trains_nothing(self, tiny_data, budget):
+    def test_resume_of_a_finished_run_trains_nothing(self, tiny_data, budget, capsys):
         cfg = tiny_config(tiny_data, **budget)  # 6 training samples, 3 steps per epoch
         train(cfg, log=lambda line: None)
         path = Path(cfg.checkpoint_dir) / CHECKPOINT_FILE
@@ -378,6 +384,15 @@ class TestTraining:
         logs = []
         train(cfg, log=logs.append, resume=True)
         assert [line.split(" at ")[0] for line in logs] == [f"resumed from {cfg.checkpoint_dir}"]
+        assert path.read_bytes() == saved
+        # the command says so, and claims no checkpoint
+        cfg_path = tiny_data / "run.cfg"
+        save_config(cfg, cfg_path)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(cfg_path), "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split(" at ")[0] for line in out.splitlines()] == [
+            f"resumed from {cfg.checkpoint_dir}"]
         assert path.read_bytes() == saved
 
     def test_conv_worker_writes_the_inline_checkpoint(self, tmp_path, monkeypatch):
@@ -535,10 +550,8 @@ class TestCli:
                if key not in BLAS_THREAD_VARS}
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
-        src = str(Path(ad.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                text=True, timeout=60)
+        result = subprocess.run([sys.executable, "-c", probe], env=child_env(env),
+                                capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [preset or "1", "1", "1"]
 
@@ -648,6 +661,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == exit_code
         assert err.startswith(f"error:{category}: ") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_divergence_writes_one_stderr_line(self, tiny_data, command):
+        # a child process, because pytest takes numpy's warnings apart from stderr
+        save_config(tiny_config(tiny_data, epochs=1, learning_rate=1e300), tiny_data / "run.cfg")
+        result = subprocess.run(
+            [sys.executable, "-m", "podfcr", command, "--config", str(tiny_data / "run.cfg")],
+            env=child_env(os.environ), capture_output=True, text=True, timeout=300)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:diverged: non-finite loss at step 2")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_data_is_rejected(self, tiny_data, capsys, command):
+        cfg_path = tiny_data / "run.cfg"
+        save_config(tiny_config(tiny_data, epochs=1), cfg_path)
+        if command == "eval":
+            assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        split = "train" if command == "train" else "test"
+        record = read_manifest(tiny_data / "data" / f"{split}.manifest")[0]
+        path = tiny_data / "data" / record.paths["cloudy"]
+        cloudy = read_tensor(path)
+        cloudy[0, 3, 4] = np.nan
+        write_tensor(path, cloudy)
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:runtime: forward: cloudy input holds non-finite values")
+        assert len(err.splitlines()) == 1
 
     def test_failure_cases_reach_every_category(self):
         assert {category for _, category in cli.FAILURE_CATEGORIES} <= {
